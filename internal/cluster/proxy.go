@@ -16,9 +16,10 @@ import (
 // /v1/cluster/repair, plus the front's own /healthz, /readyz and
 // /metrics. Requests are classified three ways:
 //
-//   - graph reads (query/stats/accuracy/pagerank/export, and the
-//     POST-shaped ppr/batch) follow the failover+hedging read policy and
-//     degrade to stale-or-503 when the whole replica set is down;
+//   - graph reads (query/topk/stats/accuracy/pagerank/export, and the
+//     POST-shaped ppr/batch/candidates) go to one replica under the
+//     failover+hedging read policy and degrade to stale-or-503 when the
+//     whole replica set is down;
 //   - graph mutations (put/delete/import/edges/rebuild) fan out to every
 //     placement replica concurrently, with per-replica outcomes reported
 //     in X-Replica-Outcome headers and partial success flagged
@@ -54,11 +55,12 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-// handlePostOp splits POST-shaped requests: ppr and batch are reads that
-// happen to carry a body; edges and rebuild mutate replica state.
+// handlePostOp splits POST-shaped requests: ppr, batch and candidates are
+// reads that happen to carry a body, answered by one replica; edges and
+// rebuild mutate replica state and fan out to every replica.
 func (c *Cluster) handlePostOp(w http.ResponseWriter, r *http.Request) {
 	switch r.PathValue("op") {
-	case "ppr", "batch":
+	case "ppr", "batch", "candidates":
 		c.handleRead(w, r)
 	default:
 		// edges, rebuild — and unknown ops, which every shard will reject

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -485,5 +486,78 @@ func TestProxyRebuildFanOut(t *testing.T) {
 	}
 	if joined := strings.Join(rec.Result().Header["X-Replica-Outcome"], " "); !strings.Contains(joined, secondary+"=500") {
 		t.Fatalf("outcome headers %q must show the 500 from %s", joined, secondary)
+	}
+}
+
+// TestProxyCandidatesIsARead: POST /candidates is answered by one replica
+// under the read policy — not fanned out like a mutation — so it fails
+// over past a 503 primary and, with both replicas down, serves the last
+// good answer flagged X-Degraded: stale.
+func TestProxyCandidatesIsARead(t *testing.T) {
+	type stub struct {
+		hits atomic.Int32 // /candidates requests that reached this shard
+		down atomic.Bool  // answer everything 503
+	}
+	stubs := map[string]*stub{}
+	var cfgs []ShardConfig
+	for i := 0; i < 2; i++ {
+		st, real := &stub{}, server.New().Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/candidates") {
+				st.hits.Add(1)
+			}
+			if st.down.Load() {
+				http.Error(w, `{"error":"induced"}`, http.StatusServiceUnavailable)
+				return
+			}
+			real.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		id := fmt.Sprintf("s%d", i)
+		stubs[id] = st
+		cfgs = append(cfgs, ShardConfig{ID: id, URL: srv.URL})
+	}
+	c := newFront(t, Config{Shards: cfgs, Replication: 2})
+	if rec := doFront(c, http.MethodPut, "/v1/graphs/g", edgeList); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", rec.Code, rec.Body.String())
+	}
+	primary, secondary := c.Replicas("g")[0], c.Replicas("g")[1]
+	const body = `{"seeds":[0,1],"k":2}`
+	hits := func() (int32, int32) { return stubs[primary].hits.Load(), stubs[secondary].hits.Load() }
+
+	rec := doFront(c, http.MethodPost, "/v1/graphs/g/candidates", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("candidates: %d %s", rec.Code, rec.Body.String())
+	}
+	if p, s := hits(); p != 1 || s != 0 {
+		t.Fatalf("candidates reached primary %d and secondary %d times, want exactly the primary once", p, s)
+	}
+	if sh := rec.Header().Get("X-Shard"); sh != primary {
+		t.Fatalf("X-Shard = %q, want primary %q", sh, primary)
+	}
+	if got := rec.Result().Header["X-Replica-Outcome"]; len(got) != 0 {
+		t.Fatalf("a read must not report mutation fan-out outcomes, got %v", got)
+	}
+	want := rec.Body.String()
+
+	stubs[primary].down.Store(true)
+	rec = doFront(c, http.MethodPost, "/v1/graphs/g/candidates", body)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Shard") != secondary {
+		t.Fatalf("failover: %d X-Shard=%q, want 200 from %q", rec.Code, rec.Header().Get("X-Shard"), secondary)
+	}
+	if p, s := hits(); p != 2 || s != 1 {
+		t.Fatalf("after failover: primary %d, secondary %d hits, want 2 and 1", p, s)
+	}
+	if rec.Body.String() != want {
+		t.Fatalf("failover answer differs:\n%s\nwant\n%s", rec.Body.String(), want)
+	}
+
+	stubs[secondary].down.Store(true)
+	rec = doFront(c, http.MethodPost, "/v1/graphs/g/candidates", body)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Degraded") != "stale" {
+		t.Fatalf("both replicas down: %d X-Degraded=%q, want 200 stale", rec.Code, rec.Header().Get("X-Degraded"))
+	}
+	if rec.Body.String() != want {
+		t.Fatalf("stale body = %s, want %s", rec.Body.String(), want)
 	}
 }

@@ -99,9 +99,9 @@ func (s *staleCache) get(key string, ttl time.Duration) (staleEntry, time.Durati
 }
 
 // staleKey canonicalizes one read request: method, path, sorted query
-// (parameter order must not split cache entries), and — for POST reads
-// like ppr/batch — the body. Bodies ride in verbatim; they are small JSON
-// documents and hashing them here would save little.
+// (parameter order must not split cache entries), and — for the POST
+// reads ppr, batch and candidates — the body. Bodies ride in verbatim;
+// they are small JSON documents and hashing them here would save little.
 func staleKey(r *http.Request, body []byte) string {
 	var b strings.Builder
 	b.WriteString(r.Method)

@@ -32,11 +32,35 @@ func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int, workers in
 		}
 	}
 	out := make([][]float64, len(seeds))
-	if len(seeds) == 0 {
-		return out, nil
-	}
 	for i := range out {
 		out[i] = make([]float64, p.N)
+	}
+	if err := p.queryBatchTo(ctx, out, seeds, workers, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// queryBatchTo is the one blocked batch solve behind QueryBatchCtx,
+// QueryBatchTo and Dynamic.QueryBatchToCtx: it validates dst against
+// seeds, groups same-block seeds into chunks of the batch width, and
+// solves the chunks on up to workers goroutines (0 selects GOMAXPROCS),
+// each holding one BatchWorkspace for its whole share. A single worker
+// uses bw, or a pooled workspace when bw is nil.
+func (p *Precomputed) queryBatchTo(ctx context.Context, dst [][]float64, seeds []int, workers int, bw *BatchWorkspace) error {
+	if len(dst) != len(seeds) {
+		return fmt.Errorf("core: %d destinations for %d seeds", len(dst), len(seeds))
+	}
+	for i, s := range seeds {
+		if s < 0 || s >= p.N {
+			return fmt.Errorf("core: seed %d out of range [0,%d)", s, p.N)
+		}
+		if len(dst[i]) != p.N {
+			return fmt.Errorf("core: destination %d length %d, want %d", i, len(dst[i]), p.N)
+		}
+	}
+	if len(seeds) == 0 {
+		return nil
 	}
 
 	// Group same-block seeds into chunks of the batch width; each chunk is
@@ -52,18 +76,20 @@ func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int, workers in
 	}
 
 	if workers <= 1 {
-		bw := p.AcquireBatchWorkspace()
-		defer p.ReleaseBatchWorkspace(bw)
+		if bw == nil {
+			bw = p.AcquireBatchWorkspace()
+			defer p.ReleaseBatchWorkspace(bw)
+		}
 		for start := 0; start < len(order); start += nb {
 			end := start + nb
 			if end > len(order) {
 				end = len(order)
 			}
-			if err := p.queryChunkTo(ctx, out, seeds, order[start:end], bw); err != nil {
-				return nil, err
+			if err := p.queryChunkTo(ctx, dst, seeds, order[start:end], bw); err != nil {
+				return err
 			}
 		}
-		return out, nil
+		return nil
 	}
 
 	var (
@@ -83,7 +109,7 @@ func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int, workers in
 				if end > len(order) {
 					end = len(order)
 				}
-				if err := p.queryChunkTo(ctx, out, seeds, order[start:end], bw); err != nil {
+				if err := p.queryChunkTo(ctx, dst, seeds, order[start:end], bw); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -104,10 +130,7 @@ feed:
 	close(next)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }

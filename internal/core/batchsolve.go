@@ -126,35 +126,7 @@ func (p *Precomputed) seedOrder(seeds []int) []int {
 // seeds, each vector of length N). A nil bw borrows a pooled batch
 // workspace. Results are bit-identical to QueryTo on each seed.
 func (p *Precomputed) QueryBatchTo(ctx context.Context, dst [][]float64, seeds []int, bw *BatchWorkspace) error {
-	if len(dst) != len(seeds) {
-		return fmt.Errorf("core: %d destinations for %d seeds", len(dst), len(seeds))
-	}
-	for i, s := range seeds {
-		if s < 0 || s >= p.N {
-			return fmt.Errorf("core: seed %d out of range [0,%d)", s, p.N)
-		}
-		if len(dst[i]) != p.N {
-			return fmt.Errorf("core: destination %d length %d, want %d", i, len(dst[i]), p.N)
-		}
-	}
-	if len(seeds) == 0 {
-		return nil
-	}
-	if bw == nil {
-		bw = p.AcquireBatchWorkspace()
-		defer p.ReleaseBatchWorkspace(bw)
-	}
-	order := p.seedOrder(seeds)
-	for start := 0; start < len(order); start += bw.nb {
-		end := start + bw.nb
-		if end > len(order) {
-			end = len(order)
-		}
-		if err := p.queryChunkTo(ctx, dst, seeds, order[start:end], bw); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.queryBatchTo(ctx, dst, seeds, 1, bw)
 }
 
 // queryChunkTo solves one chunk of up to bw.nb seeds. cols maps chunk

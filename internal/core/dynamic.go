@@ -47,6 +47,7 @@ type nodeRow struct {
 // serialize only against updates and rebuilds.
 type Dynamic struct {
 	mu   sync.RWMutex
+	n    int          // node count; no update or rebuild changes it
 	base *graph.Graph // graph the precomputed matrices reflect
 	p    *Precomputed
 	opts Options
@@ -138,7 +139,7 @@ func NewDynamicCtx(ctx context.Context, g *graph.Graph, opts Options) (*Dynamic,
 	if err != nil {
 		return nil, err
 	}
-	return &Dynamic{base: g, curCache: g, p: p, opts: opts, lastFullNNZ: p.NNZ()}, nil
+	return &Dynamic{n: g.N(), base: g, curCache: g, p: p, opts: opts, lastFullNNZ: p.NNZ()}, nil
 }
 
 // Precomputed returns the underlying BEAR state (reflecting the graph as
@@ -478,75 +479,97 @@ func (d *Dynamic) QueryDist(q []float64) ([]float64, error) {
 
 // QueryDistCtx is QueryDist honoring cancellation and deadlines on ctx,
 // checked between the block-elimination stages and between the Woodbury
-// correction terms.
+// correction terms. It allocates the result and calls QueryDistToCtx.
 func (d *Dynamic) QueryDistCtx(ctx context.Context, q []float64) ([]float64, error) {
-	// Ensure the Woodbury cache exists, then answer under the read lock so
-	// queries run in parallel. A concurrent update between the lock
-	// transitions invalidates the cache again, so loop until it is seen
-	// valid under the read lock.
+	dst := make([]float64, d.n)
+	if err := d.QueryDistToCtx(ctx, dst, q); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// QueryDistToCtx is QueryDistCtx writing into caller-owned dst (length N),
+// which may alias q.
+func (d *Dynamic) QueryDistToCtx(ctx context.Context, dst, q []float64) error {
+	if len(q) != d.n {
+		return fmt.Errorf("core: starting vector length %d, want %d", len(q), d.n)
+	}
+	for i, v := range q {
+		if v < 0 || math.IsNaN(v) {
+			return fmt.Errorf("core: starting vector entry %d is %g; must be non-negative", i, v)
+		}
+	}
+	if len(dst) != d.n {
+		return fmt.Errorf("core: destination length %d, want %d", len(dst), d.n)
+	}
+	if err := d.rlockCurrent(ctx); err != nil {
+		return err
+	}
+	defer d.mu.RUnlock()
+	ws := d.p.AcquireWorkspace()
+	err := d.p.solveToCtx(ctx, dst, q, ws)
+	d.p.ReleaseWorkspace(ws)
+	if err != nil {
+		return err
+	}
+	return d.correctLocked(ctx, dst)
+}
+
+// rlockCurrent returns holding the read lock with the Woodbury cache valid
+// for the current dirty set, so queries run in parallel. The cache is
+// built under the write lock; a concurrent update between the lock
+// transitions invalidates it again, so this loops until it is seen valid
+// under the read lock. On error no lock is held.
+func (d *Dynamic) rlockCurrent(ctx context.Context) error {
 	for {
 		d.mu.RLock()
 		if d.capMat != nil || len(d.dirty) == 0 {
-			defer d.mu.RUnlock()
-			return d.queryDistLocked(ctx, q)
+			return nil
 		}
 		d.mu.RUnlock()
 		d.mu.Lock()
 		if d.capMat == nil && len(d.dirty) > 0 {
 			if err := d.refreshWoodbury(ctx); err != nil {
 				d.mu.Unlock()
-				return nil, err
+				return err
 			}
 		}
 		d.mu.Unlock()
 	}
 }
 
-func (d *Dynamic) queryDistLocked(ctx context.Context, q []float64) ([]float64, error) {
-	if len(q) != d.p.N {
-		return nil, fmt.Errorf("core: starting vector length %d, want %d", len(q), d.p.N)
-	}
-	for i, v := range q {
-		if v < 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("core: starting vector entry %d is %g; must be non-negative", i, v)
-		}
-	}
-	x := make([]float64, d.p.N)
-	ws := d.p.AcquireWorkspace()
-	err := d.p.solveToCtx(ctx, x, q, ws)
-	d.p.ReleaseWorkspace(ws)
-	if err != nil {
-		return nil, err
-	}
-	k := len(d.dirty)
-	if k > 0 {
-		// α = capMat · (Eᵀ x); r = x − (H⁻¹W) α. The cache was built by
-		// QueryDistCtx before taking the read lock.
+// correctLocked turns x = H⁻¹q, solved in dst against the preprocessed
+// matrices, into the RWR scores of the current graph: it subtracts the
+// Woodbury correction for the pending updates and applies the restart
+// scaling c, both in place. Callers hold the read lock rlockCurrent took.
+func (d *Dynamic) correctLocked(ctx context.Context, dst []float64) error {
+	if k := len(d.dirty); k > 0 {
+		// α = capMat · (Eᵀ x); x −= (H⁻¹W) α.
 		sw := obsv.FromContext(ctx).Start(obsv.SpanWoodburyTerms)
 		y := make([]float64, k)
 		for i, u := range d.dirty {
-			y[i] = x[u]
+			y[i] = dst[u]
 		}
 		alpha := d.capMat.MulVec(y)
 		for i := range d.hw {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			a := alpha[i]
 			if a == 0 {
 				continue
 			}
 			col := d.hw[i]
-			for node := range x {
-				x[node] -= a * col[node]
+			for node := range dst {
+				dst[node] -= a * col[node]
 			}
 		}
 		sw.Stop()
 	}
-	for i := range x {
-		x[i] *= d.p.C
+	for i := range dst {
+		dst[i] *= d.p.C
 	}
-	return x, nil
+	return nil
 }
 
 // Query computes exact RWR scores on the current graph for a single seed.
@@ -554,17 +577,48 @@ func (d *Dynamic) Query(seed int) ([]float64, error) {
 	return d.QueryCtx(context.Background(), seed)
 }
 
-// QueryCtx is Query honoring cancellation and deadlines on ctx.
+// QueryCtx is Query honoring cancellation and deadlines on ctx. It
+// allocates the result and calls QueryToCtx.
 func (d *Dynamic) QueryCtx(ctx context.Context, seed int) ([]float64, error) {
-	d.mu.RLock()
-	n := d.p.N
-	d.mu.RUnlock()
-	if seed < 0 || seed >= n {
-		return nil, fmt.Errorf("core: seed %d out of range [0,%d)", seed, n)
+	if err := d.checkSeed(seed); err != nil {
+		return nil, err
 	}
-	q := make([]float64, n)
-	q[seed] = 1
-	return d.QueryDistCtx(ctx, q)
+	dst := make([]float64, d.n)
+	if err := d.QueryToCtx(ctx, dst, seed); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// QueryToCtx is QueryCtx writing into caller-owned dst (length N). The
+// seed goes straight to the block-restricted single-seed solve, the
+// Woodbury correction and the c scaling are applied in place, and with
+// no pending updates the query performs no heap allocations.
+func (d *Dynamic) QueryToCtx(ctx context.Context, dst []float64, seed int) error {
+	if err := d.checkSeed(seed); err != nil {
+		return err
+	}
+	if len(dst) != d.n {
+		return fmt.Errorf("core: destination length %d, want %d", len(dst), d.n)
+	}
+	if err := d.rlockCurrent(ctx); err != nil {
+		return err
+	}
+	defer d.mu.RUnlock()
+	ws := d.p.AcquireWorkspace()
+	err := d.p.solveSeedToCtx(ctx, dst, d.p.Perm[seed], 1, ws)
+	d.p.ReleaseWorkspace(ws)
+	if err != nil {
+		return err
+	}
+	return d.correctLocked(ctx, dst)
+}
+
+func (d *Dynamic) checkSeed(seed int) error {
+	if seed < 0 || seed >= d.n {
+		return fmt.Errorf("core: seed %d out of range [0,%d)", seed, d.n)
+	}
+	return nil
 }
 
 // QueryBatch computes exact RWR vectors for many seeds on the current
@@ -574,11 +628,31 @@ func (d *Dynamic) QueryBatch(seeds []int, workers int) ([][]float64, error) {
 }
 
 // QueryBatchCtx is QueryBatch honoring cancellation and deadlines on ctx.
-// With no pending updates it runs the blocked multi-RHS solver (one factor
-// traversal per chunk of seeds, bit-identical to per-seed Query); with
-// pending updates it falls back to per-seed Woodbury-corrected queries,
-// since the rank-k correction is per-vector anyway.
+// It allocates the results and calls QueryBatchToCtx.
 func (d *Dynamic) QueryBatchCtx(ctx context.Context, seeds []int, workers int) ([][]float64, error) {
+	for _, s := range seeds {
+		if err := d.checkSeed(s); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]float64, len(seeds))
+	for i := range out {
+		out[i] = make([]float64, d.n)
+	}
+	if err := d.QueryBatchToCtx(ctx, out, seeds, workers); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// QueryBatchToCtx is QueryBatchCtx writing into caller-owned dst (indexed
+// like seeds, each vector of length N). With no pending updates it runs
+// the blocked multi-RHS solver (one factor traversal per chunk of seeds,
+// bit-identical to per-seed Query), fanning chunks out over workers
+// goroutines (0 selects GOMAXPROCS); with pending updates it falls back to
+// per-seed Woodbury-corrected queries, since the rank-k correction is
+// per-vector anyway.
+func (d *Dynamic) QueryBatchToCtx(ctx context.Context, dst [][]float64, seeds []int, workers int) error {
 	d.mu.RLock()
 	p, clean := d.p, len(d.dirty) == 0
 	d.mu.RUnlock()
@@ -587,15 +661,15 @@ func (d *Dynamic) QueryBatchCtx(ctx context.Context, seeds []int, workers int) (
 		// state captured above even if updates or a rebuild swap land
 		// mid-batch (the same guarantee per-seed queries give: results
 		// reflect the graph as of when the query began).
-		return p.QueryBatchCtx(ctx, seeds, workers)
+		return p.queryBatchTo(ctx, dst, seeds, workers, nil)
 	}
-	out := make([][]float64, len(seeds))
+	if len(dst) != len(seeds) {
+		return fmt.Errorf("core: %d destinations for %d seeds", len(dst), len(seeds))
+	}
 	for i, s := range seeds {
-		r, err := d.QueryCtx(ctx, s)
-		if err != nil {
-			return nil, err
+		if err := d.QueryToCtx(ctx, dst[i], s); err != nil {
+			return err
 		}
-		out[i] = r
 	}
-	return out, nil
+	return nil
 }

@@ -209,7 +209,7 @@ func RestoreDynamic(base, cur *graph.Graph, p *Precomputed, dirty []int, opts Op
 	// state and never serialized), so the first auto rebuild falls back to
 	// full — recorded as no_cache — and repopulates it.
 	opts.RetainRebuildCache = true
-	return &Dynamic{base: base, curCache: cur, overlay: overlay, p: p, opts: opts, dirty: dirty,
+	return &Dynamic{n: base.N(), base: base, curCache: cur, overlay: overlay, p: p, opts: opts, dirty: dirty,
 		lastFullNNZ: p.NNZ()}, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"bear/internal/graph"
 	"bear/internal/graph/gen"
 )
 
@@ -208,6 +209,131 @@ func TestQueryToZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDynamicQueryToZeroAllocs pins the serving layer's miss path: with
+// no pending updates, Dynamic.QueryToCtx into a reused dst must not touch
+// the heap.
+func TestDynamicQueryToZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are only meaningful without -race")
+	}
+	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 10, Size: 20, PIntra: 0.3, Hubs: 5, HubDeg: 25, Seed: 94})
+	d, err := NewDynamic(g, Options{})
+	if err != nil {
+		t.Fatalf("NewDynamic: %v", err)
+	}
+	p := d.Precomputed()
+	hub := -1
+	for node := 0; node < p.N; node++ {
+		if p.IsHub(node) {
+			hub = node
+			break
+		}
+	}
+	ctx := context.Background()
+	dst := make([]float64, p.N)
+	for _, seed := range []int{1, hub} {
+		if seed < 0 {
+			continue
+		}
+		var qerr error
+		fn := func() { qerr = d.QueryToCtx(ctx, dst, seed) }
+		fn() // warm the workspace pool before measuring
+		if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
+			t.Errorf("QueryToCtx seed %d: %v allocs/op, want 0", seed, allocs)
+		}
+		if qerr != nil {
+			t.Fatalf("QueryToCtx seed %d: %v", seed, qerr)
+		}
+	}
+}
+
+// TestDynamicQueryToMatchesQuery checks the dst-writing forms against the
+// allocating ones bit for bit, with and without pending updates, into
+// destinations pre-filled with garbage (pooled vectors arrive dirty), and
+// with QueryDistToCtx solving in place over its own starting vector.
+func TestDynamicQueryToMatchesQuery(t *testing.T) {
+	g := gen.RMAT(gen.NewRMATPul(300, 1800, 0.7, 51))
+	d, err := NewDynamic(g, Options{K: 2})
+	if err != nil {
+		t.Fatalf("NewDynamic: %v", err)
+	}
+	ctx := context.Background()
+	n := g.N()
+	garbage := func() []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = math.NaN()
+		}
+		return v
+	}
+	seeds := []int{0, 7, 42, 99, 150, 299, 7, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	for _, pending := range []bool{false, true} {
+		if pending {
+			if err := d.AddEdge(7, 150, 2); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.AddEdge(42, 3, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Without pending updates the static index is an independent
+		// reference; with them, the allocating wrapper is.
+		ref := d.Query
+		if !pending {
+			ref = d.Precomputed().Query
+		}
+		for _, seed := range seeds[:6] {
+			want, err := ref(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := garbage()
+			if err := d.QueryToCtx(ctx, got, seed); err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, got, want, fmt.Sprintf("pending=%v QueryToCtx(%d)", pending, seed))
+		}
+		q := make([]float64, n)
+		q[3], q[99], q[250] = 0.5, 0.25, 2
+		want, err := d.QueryDist(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.QueryDistToCtx(ctx, q, q); err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, q, want, fmt.Sprintf("pending=%v QueryDistToCtx in place", pending))
+		for _, workers := range []int{0, 1, 3} {
+			dst := make([][]float64, len(seeds))
+			for i := range dst {
+				dst[i] = garbage()
+			}
+			if err := d.QueryBatchToCtx(ctx, dst, seeds, workers); err != nil {
+				t.Fatal(err)
+			}
+			for i, seed := range seeds {
+				want, err := ref(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBitIdentical(t, dst[i], want, fmt.Sprintf("pending=%v workers=%d batch seed %d", pending, workers, seed))
+			}
+		}
+	}
+	if err := d.QueryToCtx(ctx, make([]float64, n-1), 0); err == nil {
+		t.Fatal("QueryToCtx accepted a short destination")
+	}
+	if err := d.QueryToCtx(ctx, make([]float64, n), n); err == nil {
+		t.Fatal("QueryToCtx accepted an out-of-range seed")
+	}
+	if err := d.QueryDistToCtx(ctx, make([]float64, n+1), make([]float64, n)); err == nil {
+		t.Fatal("QueryDistToCtx accepted a long destination")
+	}
+	if err := d.QueryBatchToCtx(ctx, make([][]float64, 1), []int{0, 1}, 0); err == nil {
+		t.Fatal("QueryBatchToCtx accepted mismatched destinations")
+	}
+}
+
 // TestWorkspaceReleaseMismatch: releasing a foreign workspace must panic
 // loudly rather than poison the pool with wrongly-sized buffers.
 func TestWorkspaceReleaseMismatch(t *testing.T) {
@@ -315,45 +441,105 @@ func TestBlockOfBinarySearch(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesSelectionSort checks the bounded-heap TopK against the
-// O(n·k) selection reference it replaced, including heavy ties.
+// BenchmarkTopK ranks the top 10 of one RWR score vector on an n=8,000
+// web-like R-MAT graph, the ranking scan every query miss pays after its
+// solve.
+func BenchmarkTopK(b *testing.B) {
+	g := gen.RMAT(gen.NewRMATPul(8000, 40000, 0.8, 7))
+	p, err := Preprocess(g, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scores, err := p.Query(17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		topKSink = TopK(scores, 10)
+	}
+}
+
+var topKSink []int
+
+// TestTopKMatchesSelectionSort checks the bounded-heap TopK, and the
+// TopKExcluding/TopKCandidates filters over it, against a full sort of the
+// surviving ids: descending score, ties by ascending id, NaN last. Inputs
+// mix heavy ties, NaN, ±0, ±Inf and k at or past the candidate count, so
+// every branch of the threshold scan (real and NaN heap roots) is hit.
 func TestTopKMatchesSelectionSort(t *testing.T) {
-	reference := func(scores []float64, k int) []int {
-		if k > len(scores) {
-			k = len(scores)
+	reference := func(scores []float64, k int, skip func(int) bool) []int {
+		var idx []int
+		for i := range scores {
+			if skip == nil || !skip(i) {
+				idx = append(idx, i)
+			}
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			x, y := idx[a], idx[b]
+			sx, sy := scores[x], scores[y]
+			switch {
+			case math.IsNaN(sx):
+				return math.IsNaN(sy) && x < y
+			case math.IsNaN(sy):
+				return true
+			}
+			return sx > sy || (sx == sy && x < y)
+		})
+		if k > len(idx) {
+			k = len(idx)
 		}
 		if k < 0 {
 			k = 0
 		}
-		idx := make([]int, len(scores))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			x, y := idx[a], idx[b]
-			return scores[x] > scores[y] || (scores[x] == scores[y] && x < y)
-		})
 		return idx[:k]
 	}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(200)
-		scores := make([]float64, n)
-		for i := range scores {
-			// Coarse quantization forces many exact ties.
-			scores[i] = float64(rng.Intn(8)) / 7
-		}
-		k := rng.Intn(n + 10)
-		got := TopK(scores, k)
-		want := reference(scores, k)
+	check := func(what string, got, want []int) {
+		t.Helper()
 		if len(got) != len(want) {
-			t.Fatalf("n=%d k=%d: got %d ids, want %d", n, k, len(got), len(want))
+			t.Fatalf("%s: got %d ids %v, want %d %v", what, len(got), got, len(want), want)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("n=%d k=%d: position %d is %d, want %d", n, k, i, got[i], want[i])
+				t.Fatalf("%s: position %d is %d, want %d (got %v, want %v)", what, i, got[i], want[i], got, want)
 			}
 		}
+	}
+	special := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + rng.Intn(200)
+		scores := make([]float64, n)
+		// Each trial draws its own share of special values, from none
+		// (the plain quantized case) to all of them (NaN-rooted heaps).
+		specialFrac := []float64{0, 0.05, 0.3, 1}[trial%4]
+		for i := range scores {
+			if rng.Float64() < specialFrac {
+				scores[i] = special[rng.Intn(len(special))]
+			} else {
+				// Coarse quantization forces many exact ties.
+				scores[i] = float64(rng.Intn(8)-2) / 7
+			}
+		}
+		k := rng.Intn(n + 10)
+		what := fmt.Sprintf("trial %d n=%d k=%d", trial, n, k)
+		check(what+" TopK", TopK(scores, k), reference(scores, k, nil))
+
+		drop := make([]bool, n)
+		for i := range drop {
+			drop[i] = rng.Intn(3) == 0
+		}
+		skip := func(i int) bool { return drop[i] }
+		check(what+" TopKExcluding", TopKExcluding(scores, k, skip), reference(scores, k, skip))
+
+		b := graph.NewBuilder(n)
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			b.AddEdge(rng.Intn(n), rng.Intn(n), 1)
+		}
+		g := b.Build()
+		seed := rng.Intn(n)
+		notCandidate := func(v int) bool { return v == seed || g.HasEdge(seed, v) }
+		check(what+" TopKCandidates", TopKCandidates(g, scores, seed, k), reference(scores, k, notCandidate))
 	}
 	if got := TopK([]float64{1, 2}, 0); len(got) != 0 {
 		t.Fatalf("TopK k=0 returned %v", got)

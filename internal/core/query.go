@@ -348,24 +348,20 @@ func topKOver(scores []float64, k int, ids []int, skip func(int) bool) []int {
 		return sa < sb || (sa == sb && a > b)
 	}
 	h := make([]int, 0, k)
-	add := func(i int) {
-		if len(h) < k {
-			// Sift up.
-			h = append(h, i)
-			for c := len(h) - 1; c > 0; {
-				par := (c - 1) / 2
-				if !worse(h[c], h[par]) {
-					break
-				}
-				h[c], h[par] = h[par], h[c]
-				c = par
+	push := func(i int) {
+		h = append(h, i)
+		for c := len(h) - 1; c > 0; {
+			par := (c - 1) / 2
+			if !worse(h[c], h[par]) {
+				break
 			}
-			return
+			h[c], h[par] = h[par], h[c]
+			c = par
 		}
-		if worse(i, h[0]) {
-			return
-		}
-		// Replace the weakest and sift down.
+	}
+	// replaceRoot swaps the weakest retained candidate for i and sifts
+	// down; the caller has checked that i outranks the root.
+	replaceRoot := func(i int) {
 		h[0] = i
 		for c := 0; ; {
 			l, r, m := 2*c+1, 2*c+2, c
@@ -384,14 +380,41 @@ func topKOver(scores []float64, k int, ids []int, skip func(int) bool) []int {
 	}
 	if ids != nil {
 		for _, i := range ids {
-			add(i)
+			if len(h) < k {
+				push(i)
+			} else if !worse(i, h[0]) {
+				replaceRoot(i)
+			}
 		}
 	} else {
-		for i := range scores {
+		i := 0
+		for ; i < len(scores) && len(h) < k; i++ {
+			if skip == nil || !skip(i) {
+				push(i)
+			}
+		}
+		// Once the heap is full, a real root score θ settles most nodes
+		// with one comparison: the scan runs in ascending id order, so a
+		// node tying θ has a higher id than the root and ranks below it,
+		// and a NaN ranks below any real θ — both fail scores[i] > θ.
+		// Only a NaN root needs the general comparison. skip runs only
+		// for nodes that pass the threshold.
+		theta := math.NaN()
+		if len(h) == k {
+			theta = scores[h[0]]
+		}
+		for ; i < len(scores); i++ {
+			if !(scores[i] > theta) && !math.IsNaN(theta) {
+				continue
+			}
 			if skip != nil && skip(i) {
 				continue
 			}
-			add(i)
+			if worse(i, h[0]) {
+				continue
+			}
+			replaceRoot(i)
+			theta = scores[h[0]]
 		}
 	}
 	sort.Slice(h, func(a, b int) bool { return worse(h[b], h[a]) })

@@ -12,31 +12,79 @@ import (
 	"bear/internal/resultcache"
 )
 
-// The serving layer caches full score vectors plus their rendered top-k
-// slices, keyed by (registration generation, dynamic epoch, parameter
-// hash). Invalidation is purely by key construction: every accepted edge
-// update and every rebuild swap bumps the Dynamic epoch, and every PUT or
-// snapshot restore assigns a fresh generation, so a changed graph makes
-// all prior entries unreachable and they age out of the LRU. The epoch in
-// the key is always the one observed *before* the solve ran — a concurrent
-// update can therefore only make a cached vector fresher than its key
-// promises, never staler, so no request ever reads pre-update data through
-// the cache.
+// The serving layer caches ranked answers — the top entries of a query,
+// never its score vector — keyed by (registration generation, dynamic
+// epoch, parameter hash), so an entry costs ≈24 bytes per returned node at
+// any graph size. Invalidation is purely by key construction: every
+// accepted edge update and every rebuild swap bumps the Dynamic epoch, and
+// every PUT or snapshot restore assigns a fresh generation, so a changed
+// graph makes all prior entries unreachable and they age out of the LRU.
+// The epoch in the key is always the one observed *before* the solve ran —
+// a concurrent update can therefore only make a cached answer fresher than
+// its key promises, never staler, so no request ever reads pre-update data
+// through the cache.
 
 // nextGen hands out registration generations. It is process-global so a
 // graph re-registered under a reused name — including via snapshot
 // restore — can never collide with cache entries of its predecessor.
 var nextGen atomic.Uint64
 
-// cachedResult is one cached answer: the full score vector and the top-k
-// slice rendered for the requested k (k is part of the cache key).
-type cachedResult struct {
-	scores  []float64
-	results []ScoredNode
+// answer is one cached ranked answer: the top entries for the requested
+// count (top or k is part of the cache key). A hybrid top-k answer also
+// records how it was computed, so hits report the same pruned/fallback
+// fields the original solve did.
+type answer struct {
+	results  []ScoredNode
+	pruned   bool
+	fallback string
 }
 
-func (c *cachedResult) CacheBytes() int64 {
-	return int64(len(c.scores))*8 + int64(len(c.results))*24
+func (a *answer) CacheBytes() int64 { return int64(len(a.results))*24 + 48 }
+
+// borrowVec lends an n-length score vector from e's pool; its contents are
+// arbitrary. Return it with e.vecs.Put once nothing reads it: a cache miss
+// then allocates only its answer, not a vector per solve.
+func (e *entry) borrowVec() *[]float64 {
+	if v, ok := e.vecs.Get().(*[]float64); ok {
+		return v
+	}
+	v := make([]float64, e.dyn.Precomputed().N)
+	return &v
+}
+
+// solvePooled runs solve into a borrowed score vector and ranks its top
+// entries in place; the vector goes back to the pool.
+func (e *entry) solvePooled(top int, solve func(dst []float64) error) (*answer, error) {
+	v := e.borrowVec()
+	defer e.vecs.Put(v)
+	if err := solve(*v); err != nil {
+		return nil, err
+	}
+	return &answer{results: topResults(*v, top)}, nil
+}
+
+// batchPooled solves seeds through the blocked multi-RHS solver into
+// borrowed score vectors and hands each to rank (indexed like seeds)
+// before the vectors go back to the pool.
+func (e *entry) batchPooled(ctx context.Context, seeds []int, rank func(j int, scores []float64)) error {
+	borrowed := make([]*[]float64, len(seeds))
+	vecs := make([][]float64, len(seeds))
+	for j := range seeds {
+		borrowed[j] = e.borrowVec()
+		vecs[j] = *borrowed[j]
+	}
+	defer func() {
+		for _, v := range borrowed {
+			e.vecs.Put(v)
+		}
+	}()
+	if err := e.dyn.QueryBatchToCtx(ctx, vecs, seeds, 0); err != nil {
+		return err
+	}
+	for j, scores := range vecs {
+		rank(j, scores)
+	}
+	return nil
 }
 
 // resultCache lazily builds the cache from the configured budget so the
@@ -61,24 +109,23 @@ func (e *entry) hasher(kind string) resultcache.Hasher {
 
 // cachedSolve answers one query through the cache and the singleflight
 // coalescer: a hit returns immediately; concurrent identical misses run
-// one solve and share it; the winner's result is cached for later
+// one solve and share its answer; the winner's answer is cached for later
 // requests. The returned status is the X-Cache header value
 // (hit|miss|coalesced).
-func (s *Server) cachedSolve(ctx context.Context, e *entry, hash uint64, top int, solve func(context.Context) ([]float64, error)) (*cachedResult, string, error) {
+func (s *Server) cachedSolve(ctx context.Context, e *entry, hash uint64, solve func(context.Context) (*answer, error)) (*answer, string, error) {
 	cache := s.resultCache()
 	key := resultcache.Key{Gen: e.gen, Epoch: e.dyn.Epoch(), Hash: hash}
 	sw := obsv.FromContext(ctx).Start(obsv.SpanCacheLookup)
 	v, ok := cache.Get(key)
 	sw.Stop()
 	if ok {
-		return v.(*cachedResult), "hit", nil
+		return v.(*answer), "hit", nil
 	}
 	v, shared, err := s.flight.Do(ctx, key, func() (resultcache.Value, error) {
-		scores, err := solve(ctx)
+		res, err := solve(ctx)
 		if err != nil {
 			return nil, err
 		}
-		res := &cachedResult{scores: scores, results: topResults(scores, top)}
 		cache.Put(key, res)
 		return res, nil
 	})
@@ -86,9 +133,9 @@ func (s *Server) cachedSolve(ctx context.Context, e *entry, hash uint64, top int
 		return nil, "", err
 	}
 	if shared {
-		return v.(*cachedResult), "coalesced", nil
+		return v.(*answer), "coalesced", nil
 	}
-	return v.(*cachedResult), "miss", nil
+	return v.(*answer), "miss", nil
 }
 
 // Stats is the server-wide operational snapshot served at GET /v1/stats.
@@ -212,7 +259,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		h := e.hasher("query").Int(seed).Byte(0).Float64(refine).Int(top)
 		keys[i] = resultcache.Key{Gen: e.gen, Epoch: epoch, Hash: h.Sum()}
 		if v, ok := cache.Get(keys[i]); ok {
-			out[i] = BatchSeedResult{Seed: seed, Cache: "hit", Results: v.(*cachedResult).results}
+			out[i] = BatchSeedResult{Seed: seed, Cache: "hit", Results: v.(*answer).results}
 		} else {
 			missIdx = append(missIdx, i)
 		}
@@ -225,31 +272,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for j, i := range missIdx {
 			missSeeds[j] = req.Seeds[i]
 		}
-		var vecs [][]float64
+		results := make([][]ScoredNode, len(missSeeds))
 		var err error
 		if refine > 0 {
 			// Refinement sweeps are per-vector (each iterate needs its own
 			// residual), so refined misses solve seed by seed instead of
 			// through the blocked multi-RHS path.
-			vecs = make([][]float64, len(missSeeds))
 			for j, seed := range missSeeds {
 				q := make([]float64, n)
 				q[seed] = 1
-				if vecs[j], err = s.refineSolve(ctx, e, q, refine); err != nil {
+				var scores []float64
+				if scores, err = s.refineSolve(ctx, e, q, refine); err != nil {
 					break
 				}
+				results[j] = topResults(scores, top)
 			}
 		} else {
-			vecs, err = e.dyn.QueryBatchCtx(ctx, missSeeds, 0)
+			err = e.batchPooled(ctx, missSeeds, func(j int, scores []float64) {
+				results[j] = topResults(scores, top)
+			})
 		}
 		if err != nil {
 			writeError(w, queryError(err))
 			return
 		}
 		for j, i := range missIdx {
-			res := &cachedResult{scores: vecs[j], results: topResults(vecs[j], top)}
-			cache.Put(keys[i], res)
-			out[i] = BatchSeedResult{Seed: req.Seeds[i], Cache: "miss", Results: res.results}
+			cache.Put(keys[i], &answer{results: results[j]})
+			out[i] = BatchSeedResult{Seed: req.Seeds[i], Cache: "miss", Results: results[j]}
 		}
 	}
 	s.logSlow("batch", name, fmt.Sprintf("seeds=%d misses=%d", len(req.Seeds), len(missIdx)),

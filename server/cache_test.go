@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bear"
 )
 
 // doJSONCache is doJSON plus the X-Cache response header.
@@ -139,8 +143,8 @@ func TestCoalescedQueriesShareOneSolve(t *testing.T) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 
-	solve := func(first bool) func(context.Context) ([]float64, error) {
-		return func(context.Context) ([]float64, error) {
+	solve := func(first bool) func(context.Context) (*answer, error) {
+		return func(context.Context) (*answer, error) {
 			if first {
 				close(started)
 				<-release
@@ -148,7 +152,8 @@ func TestCoalescedQueriesShareOneSolve(t *testing.T) {
 			mu.Lock()
 			solves++
 			mu.Unlock()
-			return e.dyn.Query(5)
+			scores, err := e.dyn.Query(5)
+			return &answer{results: topResults(scores, 10)}, err
 		}
 	}
 	hash := e.hasher("query").Int(5).Byte(0).Int(10).Sum()
@@ -165,7 +170,7 @@ func TestCoalescedQueriesShareOneSolve(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, status, err := s.cachedSolve(context.Background(), e, hash, 10, solve(true))
+		_, status, err := s.cachedSolve(context.Background(), e, hash, solve(true))
 		if err != nil {
 			t.Errorf("leader: %v", err)
 		}
@@ -176,7 +181,7 @@ func TestCoalescedQueriesShareOneSolve(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, status, err := s.cachedSolve(context.Background(), e, hash, 10, solve(false))
+			_, status, err := s.cachedSolve(context.Background(), e, hash, solve(false))
 			if err != nil {
 				t.Errorf("waiter: %v", err)
 			}
@@ -196,7 +201,7 @@ func TestCoalescedQueriesShareOneSolve(t *testing.T) {
 		t.Fatalf("miss/coalesced = %d/%d, want 1/%d", misses, coalesced, waiters)
 	}
 	// The flight's result was cached: the next request is a plain hit.
-	if _, status, _ := s.cachedSolve(context.Background(), e, hash, 10, solve(false)); status != "hit" {
+	if _, status, _ := s.cachedSolve(context.Background(), e, hash, solve(false)); status != "hit" {
 		t.Fatalf("follow-up status = %q, want hit", status)
 	}
 }
@@ -289,4 +294,110 @@ func newHTTPServer(t *testing.T, s *Server) string {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return ts.URL
+}
+
+// TestCachedAnswerBytesIndependentOfN pins what a cache entry holds: the
+// ranked answer only, never the score vector it was ranked from. Each
+// read endpoint must therefore grow the cache by the same number of bytes
+// on a 72-node graph and on a 2,400-node one.
+func TestCachedAnswerBytesIndependentOfN(t *testing.T) {
+	var large bytes.Buffer
+	g := bear.GenerateCavemanHubs(bear.CavemanHubsConfig{
+		Communities: 200, Size: 12, PIntra: 0.4, Hubs: 20, HubDeg: 10, Seed: 1,
+	})
+	if err := g.SaveEdgeList(&large); err != nil {
+		t.Fatal(err)
+	}
+	reqs := []struct{ method, path, body string }{
+		{"GET", "/query?seed=3&top=5", ""},
+		{"GET", "/topk?seed=3&k=5", ""},
+		{"GET", "/pagerank?top=5", ""},
+		{"POST", "/ppr", `{"seeds":{"3":1,"9":2},"top":5}`},
+		{"POST", "/batch", `{"seeds":[4,5],"top":5}`},
+		{"POST", "/candidates", `{"seeds":[6,7],"k":5}`},
+	}
+	var grown [2][]int64
+	for i, body := range []string{edgeListBody(), large.String()} {
+		s, ts := newTestServer(t)
+		base := ts.URL + "/v1/graphs/g"
+		doJSON(t, "PUT", base, body, http.StatusCreated)
+		prev := s.Stats().Cache.Bytes
+		for _, r := range reqs {
+			doJSON(t, r.method, base+r.path, r.body, http.StatusOK)
+			now := s.Stats().Cache.Bytes
+			grown[i] = append(grown[i], now-prev)
+			prev = now
+		}
+	}
+	for j, r := range reqs {
+		if grown[0][j] != grown[1][j] {
+			t.Errorf("%s %s: cache grew %d bytes at n=72 but %d at n=2400; an entry must not scale with the graph",
+				r.method, r.path, grown[0][j], grown[1][j])
+		}
+	}
+}
+
+// TestPooledMissesConcurrent drives every pooled miss path (query, ppr,
+// pagerank, batch, candidates) from several goroutines at once with the
+// cache off, so each request solves into borrowed score vectors, and
+// checks every answer against the one the same request got when run
+// alone: a vector shared by two solves would corrupt one of them.
+func TestPooledMissesConcurrent(t *testing.T) {
+	s := New()
+	s.CacheMaxBytes = -1
+	base := newHTTPServer(t, s) + "/v1/graphs/g"
+	doJSON(t, "PUT", base, edgeListBody(), http.StatusCreated)
+	type request struct{ method, url, body string }
+	reqs := []request{{"GET", base + "/pagerank?top=5", ""}}
+	for seed := 0; seed < 12; seed++ {
+		reqs = append(reqs,
+			request{"GET", fmt.Sprintf("%s/query?seed=%d&top=5", base, seed), ""},
+			request{"POST", base + "/ppr", fmt.Sprintf(`{"seeds":{"%d":1,"%d":2},"top":5}`, seed, seed+20)},
+			request{"POST", base + "/batch", fmt.Sprintf(`{"seeds":[%d,%d,%d],"top":5}`, seed, seed+30, seed+50)},
+			request{"POST", base + "/candidates", fmt.Sprintf(`{"seeds":[%d,%d],"k":4}`, seed, seed+40)},
+		)
+	}
+	answer := func(r request) (string, error) {
+		req, err := http.NewRequest(r.method, r.url, strings.NewReader(r.body))
+		if err != nil {
+			return "", err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("%s %s: status %d: %s", r.method, r.url, resp.StatusCode, b)
+		}
+		return string(b), err
+	}
+	want := make([]string, len(reqs))
+	for i, r := range reqs {
+		var err error
+		if want[i], err = answer(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range reqs {
+				i := (k + 7*w) % len(reqs)
+				got, err := answer(reqs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("%s %s %s under concurrency:\n got %s\nwant %s", reqs[i].method, reqs[i].url, reqs[i].body, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

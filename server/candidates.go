@@ -7,6 +7,7 @@ package server
 // the result cache and the blocked multi-RHS batch solver.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,17 +19,6 @@ import (
 	"bear/internal/obsv"
 	"bear/internal/resultcache"
 )
-
-// cachedTopK is one cached hybrid top-k answer. The stats that describe
-// *how* it was computed are cached along with it so hits report the same
-// pruned/fallback fields the original solve did.
-type cachedTopK struct {
-	results  []ScoredNode
-	pruned   bool
-	fallback string
-}
-
-func (c *cachedTopK) CacheBytes() int64 { return int64(len(c.results))*24 + 32 }
 
 // parseK reads the ?k= parameter, defaulting to 10 and clamping to the
 // node count (mirroring parseTop's contract for the query endpoint).
@@ -78,45 +68,26 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
 	ctx, tr, debug := s.traceContext(ctx, r)
+	hash := e.hasher("topk").Int(seed).Int(k).Sum()
 	start := time.Now()
-	cache := s.resultCache()
-	key := resultcache.Key{
-		Gen:   e.gen,
-		Epoch: e.dyn.Epoch(),
-		Hash:  e.hasher("topk").Int(seed).Int(k).Sum(),
-	}
-	status := "hit"
-	sw := obsv.FromContext(ctx).Start(obsv.SpanCacheLookup)
-	v, ok := cache.Get(key)
-	sw.Stop()
-	if !ok {
-		var shared bool
-		v, shared, err = s.flight.Do(ctx, key, func() (resultcache.Value, error) {
-			res, err := e.dyn.QueryTopKCtx(ctx, seed, k)
-			if err != nil {
-				return nil, err
-			}
-			if res.Stats.Pruned {
-				s.metrics().topkPruned.Inc()
-			}
-			out := make([]ScoredNode, len(res.Nodes))
-			for i, node := range res.Nodes {
-				out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
-			}
-			c := &cachedTopK{results: out, pruned: res.Stats.Pruned, fallback: res.Stats.Fallback}
-			cache.Put(key, c)
-			return c, nil
-		})
+	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
+		res, err := e.dyn.QueryTopKCtx(ctx, seed, k)
 		if err != nil {
-			writeError(w, queryError(err))
-			return
+			return nil, err
 		}
-		status = "miss"
-		if shared {
-			status = "coalesced"
+		if res.Stats.Pruned {
+			s.metrics().topkPruned.Inc()
 		}
+		out := make([]ScoredNode, len(res.Nodes))
+		for i, node := range res.Nodes {
+			out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
+		}
+		return &answer{results: out, pruned: res.Stats.Pruned, fallback: res.Stats.Fallback}, nil
+	})
+	if err != nil {
+		writeError(w, queryError(err))
+		return
 	}
-	res := v.(*cachedTopK)
 	s.logSlow("topk", name, fmt.Sprintf("seed=%d k=%d pruned=%v", seed, k, res.pruned),
 		status, time.Since(start), tr)
 	w.Header().Set("X-Cache", status)
@@ -213,7 +184,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		h := e.hasher("candidates").Int(seed).Int(req.K)
 		keys[i] = resultcache.Key{Gen: e.gen, Epoch: epoch, Hash: h.Sum()}
 		if v, ok := cache.Get(keys[i]); ok {
-			out[i] = CandidateSeedResult{Seed: seed, Cache: "hit", Candidates: v.(*cachedTopK).results}
+			out[i] = CandidateSeedResult{Seed: seed, Cache: "hit", Candidates: v.(*answer).results}
 		} else {
 			missIdx = append(missIdx, i)
 		}
@@ -226,21 +197,21 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		for j, i := range missIdx {
 			missSeeds[j] = req.Seeds[i]
 		}
-		vecs, err := e.dyn.QueryBatchCtx(ctx, missSeeds, 0)
+		cands := make([][]ScoredNode, len(missSeeds))
+		err := e.batchPooled(ctx, missSeeds, func(j int, scores []float64) {
+			ids := bear.TopKCandidates(g, scores, missSeeds[j], req.K)
+			cands[j] = make([]ScoredNode, len(ids))
+			for x, u := range ids {
+				cands[j][x] = ScoredNode{Node: u, Score: scores[u]}
+			}
+		})
 		if err != nil {
 			writeError(w, queryError(err))
 			return
 		}
 		for j, i := range missIdx {
-			seed := req.Seeds[i]
-			ids := bear.TopKCandidates(g, vecs[j], seed, req.K)
-			cands := make([]ScoredNode, len(ids))
-			for x, u := range ids {
-				cands[x] = ScoredNode{Node: u, Score: vecs[j][u]}
-			}
-			res := &cachedTopK{results: cands}
-			cache.Put(keys[i], res)
-			out[i] = CandidateSeedResult{Seed: seed, Cache: "miss", Candidates: cands}
+			cache.Put(keys[i], &answer{results: cands[j]})
+			out[i] = CandidateSeedResult{Seed: req.Seeds[i], Cache: "miss", Candidates: cands[j]}
 		}
 	}
 	s.logSlow("candidates", name, fmt.Sprintf("seeds=%d k=%d misses=%d", len(req.Seeds), req.K, len(missIdx)),

@@ -130,6 +130,10 @@ type entry struct {
 	opts    bear.Options
 	created time.Time
 	gen     uint64 // registration generation; part of every cache key
+
+	// vecs pools the graph's n-length score vectors (*[]float64) that
+	// cache misses solve into and rank in place; see borrowVec.
+	vecs sync.Pool
 }
 
 // New returns an empty server with defaults.
@@ -627,20 +631,31 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// must hit the same entries.
 	hash := e.hasher("query").Int(seed).Byte(ei).Float64(refine).Int(top).Sum()
 	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
-		if useEI {
-			return e.dyn.Precomputed().QueryEffectiveImportanceCtx(ctx, seed)
-		}
-		if refine > 0 {
+	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
+		// The plain solve ranks a pooled vector; effective importance and
+		// refinement produce fresh vectors of their own.
+		var scores []float64
+		var err error
+		switch {
+		case useEI:
+			scores, err = e.dyn.Precomputed().QueryEffectiveImportanceCtx(ctx, seed)
+		case refine > 0:
 			p := e.dyn.Precomputed()
 			if seed < 0 || seed >= p.N {
 				return nil, fmt.Errorf("seed %d out of range [0,%d)", seed, p.N)
 			}
 			q := make([]float64, p.N)
 			q[seed] = 1
-			return s.refineSolve(ctx, e, q, refine)
+			scores, err = s.refineSolve(ctx, e, q, refine)
+		default:
+			return e.solvePooled(top, func(dst []float64) error {
+				return e.dyn.QueryToCtx(ctx, dst, seed)
+			})
 		}
-		return e.dyn.QueryCtx(ctx, seed)
+		if err != nil {
+			return nil, err
+		}
+		return &answer{results: topResults(scores, top)}, nil
 	})
 	if err != nil {
 		writeError(w, queryError(err))
@@ -677,12 +692,14 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 	ctx, tr, debug := s.traceContext(ctx, r)
 	hash := e.hasher("pagerank").Int(top).Sum()
 	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
-		q := make([]float64, n)
-		for i := range q {
-			q[i] = 1 / float64(n)
-		}
-		return e.dyn.QueryDistCtx(ctx, q)
+	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
+		// The uniform starting vector is solved in place.
+		return e.solvePooled(top, func(q []float64) error {
+			for i := range q {
+				q[i] = 1 / float64(n)
+			}
+			return e.dyn.QueryDistToCtx(ctx, q, q)
+		})
 	})
 	if err != nil {
 		writeError(w, queryError(err))
@@ -732,7 +749,11 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := e.dyn.Graph().N()
-	q := make([]float64, n)
+	// The starting vector is borrowed: a miss solves in place over it.
+	qv := e.borrowVec()
+	defer e.vecs.Put(qv)
+	q := *qv
+	clear(q)
 	for k, weight := range req.Seeds {
 		node, err := strconv.Atoi(k)
 		if err != nil || node < 0 || node >= n {
@@ -789,11 +810,18 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	}
 	hash := h.Float64(refine).Int(top).Sum()
 	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, top, func(ctx context.Context) ([]float64, error) {
+	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
+		scores := q
+		var err error
 		if refine > 0 {
-			return s.refineSolve(ctx, e, q, refine)
+			scores, err = s.refineSolve(ctx, e, q, refine)
+		} else {
+			err = e.dyn.QueryDistToCtx(ctx, q, q)
 		}
-		return e.dyn.QueryDistCtx(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return &answer{results: topResults(scores, top)}, nil
 	})
 	if err != nil {
 		writeError(w, queryError(err))

@@ -65,7 +65,7 @@ func cmdPreprocess(args []string) error {
 	drop := fs.Float64("drop", 0, "drop tolerance ξ (0 = BEAR-Exact)")
 	k := fs.Int("k", 0, "ordering hub budget — the SlashBurn wave size (default 0.001·n)")
 	lap := fs.Bool("laplacian", false, "use normalized graph Laplacian variant")
-	ord := fs.String("ordering", "", "reordering engine: slashburn|mindeg|nd (default slashburn)")
+	ord := fs.String("ordering", "", "reordering engine: slashburn|mindeg (default slashburn)")
 	fs.Parse(args)
 	if *graphPath == "" || *out == "" {
 		return fmt.Errorf("preprocess: -graph and -out are required")

@@ -82,7 +82,7 @@ func Experiments() []Experiment {
 		{ID: "refine", Paper: "accuracy guardrail: iterative refinement vs drop tolerance", Run: RunRefine},
 		{ID: "kernels", Paper: "kernel storage layouts: SpMV on the spoke-block factors (BENCH_kernels.json)", Run: RunKernels},
 		{ID: "rebuild", Paper: "rebuild paths: full vs incremental dirty-block surgery (BENCH_rebuild.json)", Run: RunRebuild},
-		{ID: "orderings", Paper: "ordering engines: slashburn vs mindeg vs nd four-way sweep (BENCH_orderings.json)", Run: RunOrderings},
+		{ID: "orderings", Paper: "ordering engines: slashburn vs mindeg four-way sweep (BENCH_orderings.json)", Run: RunOrderings},
 		{ID: "topk", Paper: "hybrid top-k: push-certified bounds vs full solve (BENCH_topk.json)", Run: RunTopK},
 	}
 }

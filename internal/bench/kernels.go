@@ -39,13 +39,10 @@ type KernelBaseline struct {
 // kernelSweepLayouts builds every layout under test for one matrix.
 func kernelSweepLayouts(m *sparse.CSR) []kernel.Matrix {
 	ks := []kernel.Matrix{kernel.NewCSR(m)}
-	if h := kernel.NewHybrid(m); h != nil {
-		ks = append(ks, h)
-	}
 	if s := kernel.NewSELL(m); s != nil {
 		ks = append(ks, s)
 	}
-	ks = append(ks, kernel.NewParallel(kernel.NewCSR(m), m, 0))
+	ks = append(ks, kernel.NewParallel(m, 0))
 	return ks
 }
 
@@ -64,7 +61,7 @@ func measureLayoutsNs(ks []kernel.Matrix, y, x []float64) []float64 {
 	for reps < 1<<22 {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			ks[0].SpMV(y, x, kernel.Exact)
+			ks[0].SpMV(y, x)
 		}
 		if time.Since(start) >= batchTarget {
 			break
@@ -79,7 +76,7 @@ func measureLayoutsNs(ks []kernel.Matrix, y, x []float64) []float64 {
 		for i, k := range ks {
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				k.SpMV(y, x, kernel.Exact)
+				k.SpMV(y, x)
 			}
 			if ns := float64(time.Since(start).Nanoseconds()) / float64(reps); ns < best[i] {
 				best[i] = ns

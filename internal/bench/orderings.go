@@ -161,7 +161,7 @@ func measureOrderingSweep(cfg Config) ([]OrderingResult, error) {
 
 // RunOrderings compares the pluggable ordering engines on the Fig-6
 // graph ladder (bearbench -exp orderings): fill, memory, preprocessing
-// time, and query latency for each of slashburn/mindeg/nd. This sweep
+// time, and query latency for each of slashburn and mindeg. This sweep
 // has no counterpart in the paper, which evaluates SlashBurn only; the
 // committed headline numbers live in BENCH_orderings.json.
 func RunOrderings(cfg Config) ([]*Table, error) {

@@ -24,7 +24,7 @@ import (
 //     placement replica concurrently, with per-replica outcomes reported
 //     in X-Replica-Outcome headers and partial success flagged
 //     X-Degraded: partial;
-//   - shard-global requests (list, snapshot, stats) scatter to all shards
+//   - shard-global requests (list, snapshot) scatter to all shards
 //     and merge.
 
 // Handler returns the front's HTTP handler.
@@ -42,7 +42,6 @@ func (c *Cluster) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cluster/repair", c.instrument("cluster_repair", c.handleRepair))
 
 	mux.HandleFunc("GET /v1/graphs", c.instrument("list", c.handleScatterList))
-	mux.HandleFunc("GET /v1/stats", c.instrument("stats", c.handleScatterStats))
 	mux.HandleFunc("POST /v1/snapshot", c.instrument("snapshot", c.handleSnapshotAll))
 
 	mux.HandleFunc("PUT /v1/graphs/{name}", c.instrument("put", c.handleMutation))
@@ -382,13 +381,6 @@ func (c *Cluster) handleScatterList(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Degraded", "partial")
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"graphs": merged})
-}
-
-// handleScatterStats reports every shard's /v1/stats document side by
-// side, keyed by shard ID — per-shard resource numbers do not meaningfully
-// sum, so the front presents rather than aggregates.
-func (c *Cluster) handleScatterStats(w http.ResponseWriter, r *http.Request) {
-	c.scatterByShard(w, r, "/v1/stats")
 }
 
 // handleSnapshotAll triggers POST /v1/snapshot on every shard.

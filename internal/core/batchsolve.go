@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"bear/internal/obsv"
-	"bear/internal/sparse/kernel"
 )
 
 // This file implements the blocked multi-RHS batch solver: Algorithm 2
@@ -191,10 +190,10 @@ func (p *Precomputed) queryChunkTo(ctx context.Context, dst [][]float64, seeds [
 				gb[p.Perm[seeds[cols[k]]]*g+(k-rs)] = 1
 			}
 			gt := bw.s2[:n1*g]
-			p.kern.l1inv.SpMMRange(gt, gb, g, lo, hi, kernel.Exact)
-			p.kern.u1inv.SpMMRange(gb, gt, g, lo, hi, kernel.Exact)
+			p.kern.l1inv.SpMMRange(gt, gb, g, lo, hi)
+			p.kern.u1inv.SpMMRange(gb, gt, g, lo, hi)
 			gh := bw.ha[:n2*g]
-			p.kern.h21.SpMMColRange(gh, gb, g, lo, hi, kernel.Exact)
+			p.kern.h21.SpMMColRange(gh, gb, g, lo, hi)
 			for i := 0; i < n2; i++ {
 				copy(h[i*nb+rs:i*nb+re], gh[i*g:(i+1)*g])
 			}
@@ -216,9 +215,9 @@ func (p *Precomputed) queryChunkTo(ctx context.Context, dst [][]float64, seeds [
 			}
 			y, spare = spare, y
 		}
-		p.kern.l2inv.SpMM(spare, y, nb, kernel.Exact)
+		p.kern.l2inv.SpMM(spare, y, nb)
 		y, spare = spare, y
-		p.kern.u2inv.SpMM(spare, y, nb, kernel.Exact)
+		p.kern.u2inv.SpMM(spare, y, nb)
 		r2 = spare
 		sw.Stop()
 	}
@@ -231,7 +230,7 @@ func (p *Precomputed) queryChunkTo(ctx context.Context, dst [][]float64, seeds [
 	// r₁ = U₁⁻¹ L₁⁻¹ (b₁ − H₁₂ r₂).
 	z := bw.s1[:n1*nb]
 	if n2 > 0 {
-		p.kern.h12.SpMM(z, r2, nb, kernel.Exact)
+		p.kern.h12.SpMM(z, r2, nb)
 	} else {
 		for i := range z {
 			z[i] = 0
@@ -241,8 +240,8 @@ func (p *Precomputed) queryChunkTo(ctx context.Context, dst [][]float64, seeds [
 		z[i] = b1[i] - z[i]
 	}
 	s2 := bw.s2[:n1*nb]
-	p.kern.l1inv.SpMM(s2, z, nb, kernel.Exact)
-	p.kern.u1inv.SpMM(z, s2, nb, kernel.Exact)
+	p.kern.l1inv.SpMM(s2, z, nb)
+	p.kern.u1inv.SpMM(z, s2, nb)
 	r1 := z
 
 	// Scatter each column back to graph node order and apply the restart

@@ -51,10 +51,10 @@ type Options struct {
 	K int
 	// Ordering names the reordering engine for lines 2-3 of Algorithm 1
 	// (internal/ordering): "slashburn" (the paper's, and the default when
-	// empty), "mindeg" (greedy minimum-degree elimination), "nd" (nested
-	// dissection), or any engine registered at runtime. Every engine
-	// yields exact query results; they trade fill, memory, preprocess
-	// time, and query speed. Unknown names fail preprocessing up front.
+	// empty), "mindeg" (greedy minimum-degree elimination), or any engine
+	// registered at runtime. Every engine yields exact query results; they
+	// trade fill, memory, preprocess time, and query speed. Unknown names
+	// fail preprocessing up front.
 	Ordering string
 	// Laplacian switches the transition matrix from the row-normalized
 	// adjacency Ã to the normalized graph Laplacian D⁻¹ᐟ²AD⁻¹ᐟ²
@@ -94,11 +94,11 @@ type Options struct {
 	// transition matrix — the two preconditions of incremental rebuilds.
 	RetainRebuildCache bool
 	// Kernel selects the query-time kernel layout (internal/sparse/kernel):
-	// "" or "auto" picks per matrix (the dense-run hybrid for
-	// block-diagonal spoke factors, baseline CSR otherwise); "csr",
-	// "hybrid", "sell" force one layout everywhere; "parallel" adds
-	// row-partitioned multi-worker SpMV/SpMM on large matrices. Every
-	// setting is bit-identical on the query path (Exact-mode contract);
+	// "" or "auto" picks per matrix (SELL-C-σ for matrices of at least 256
+	// rows with at most 2 stored entries per row, CSR otherwise); "csr"
+	// and "sell" force one layout everywhere; "parallel" row-partitions
+	// SpMV/SpMM over GOMAXPROCS workers on large matrices and picks as
+	// auto does on the rest. Every setting gives bit-identical answers;
 	// only speed differs.
 	Kernel string
 }
@@ -127,7 +127,7 @@ type Stats struct {
 	// structure ("slashburn" unless Options.Ordering chose another).
 	Ordering string
 	// OrderingIters is the engine's work counter: hub-removal waves for
-	// slashburn, mass-eliminated nodes for mindeg, recursion depth for nd.
+	// slashburn, mass-eliminated nodes for mindeg.
 	OrderingIters int
 
 	NNZH      int // |H|
@@ -170,11 +170,6 @@ type Precomputed struct {
 	// only when preprocessing ran with Options.KeepH; nil otherwise. It
 	// backs Residual and the iterative-refinement query path.
 	H *sparse.CSR
-
-	// Tree is the recursion tree of a nested-dissection ordering (the
-	// partition structure block-level sharding consumes), nil for other
-	// engines. Derived at preprocess time, never serialized.
-	Tree *ordering.PartitionTree
 
 	OutDegree []float64 // weighted out-degree per node, for effective importance
 
@@ -494,7 +489,6 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 
 	p.Perm = perm
 	p.InvPerm = invPerm
-	p.Tree = sb.Tree
 	p.L1Inv = l1inv
 	p.U1Inv = u1inv
 	p.H12 = h12

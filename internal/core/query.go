@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"bear/internal/obsv"
-	"bear/internal/sparse/kernel"
 )
 
 // Query computes the RWR score vector for a single seed node (Algorithm 2
@@ -108,8 +107,8 @@ func (p *Precomputed) solveGeneralToCtx(ctx context.Context, dst, b []float64, w
 
 	// t = U₁⁻¹ (L₁⁻¹ b₁), the forward half of Algorithm 2.
 	sw := tr.Start(obsv.SpanForwardSolve)
-	p.kern.l1inv.SpMV(ws.s1a, b1, kernel.Exact)
-	p.kern.u1inv.SpMV(ws.s1b, ws.s1a, kernel.Exact)
+	p.kern.l1inv.SpMV(ws.s1a, b1)
+	p.kern.u1inv.SpMV(ws.s1b, ws.s1a)
 	sw.Stop()
 	if err := ctx.Err(); err != nil {
 		return err
@@ -154,8 +153,8 @@ func (p *Precomputed) solveSeedToCtx(ctx context.Context, dst []float64, pos int
 			sw := tr.Start(obsv.SpanForwardSolve)
 			bi := p.blockOfPos(pos)
 			lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
-			p.kern.l1inv.SpMVRange(ws.s1a, b1, lo, hi, kernel.Exact)
-			p.kern.u1inv.SpMVRange(ws.s1b, ws.s1a, lo, hi, kernel.Exact)
+			p.kern.l1inv.SpMVRange(ws.s1a, b1, lo, hi)
+			p.kern.u1inv.SpMVRange(ws.s1b, ws.s1a, lo, hi)
 			sw.Stop()
 			if err := ctx.Err(); err != nil {
 				return err
@@ -191,7 +190,7 @@ func (p *Precomputed) schurSolveTo(b2, t []float64, lo, hi int, ws *Workspace) [
 	}
 	y, spare := ws.s2a, ws.s2b
 	if hi > lo {
-		p.kern.h21.SpMVColRange(y, t, lo, hi, kernel.Exact)
+		p.kern.h21.SpMVColRange(y, t, lo, hi)
 	} else {
 		for i := range y {
 			y[i] = 0
@@ -206,9 +205,9 @@ func (p *Precomputed) schurSolveTo(b2, t []float64, lo, hi int, ws *Workspace) [
 		}
 		y, spare = spare, y
 	}
-	p.kern.l2inv.SpMV(spare, y, kernel.Exact)
+	p.kern.l2inv.SpMV(spare, y)
 	y, spare = spare, y
-	p.kern.u2inv.SpMV(spare, y, kernel.Exact)
+	p.kern.u2inv.SpMV(spare, y)
 	return spare
 }
 
@@ -219,7 +218,7 @@ func (p *Precomputed) backSolveTo(dst, b1, r2 []float64, ws *Workspace) {
 	n1 := p.N1
 	z := ws.s1a
 	if p.N2 > 0 {
-		p.kern.h12.SpMV(z, r2, kernel.Exact)
+		p.kern.h12.SpMV(z, r2)
 	} else {
 		for i := range z {
 			z[i] = 0
@@ -228,8 +227,8 @@ func (p *Precomputed) backSolveTo(dst, b1, r2 []float64, ws *Workspace) {
 	for i := range z {
 		z[i] = b1[i] - z[i]
 	}
-	p.kern.l1inv.SpMV(ws.s1b, z, kernel.Exact)
-	p.kern.u1inv.SpMV(ws.s1a, ws.s1b, kernel.Exact)
+	p.kern.l1inv.SpMV(ws.s1b, z)
+	p.kern.u1inv.SpMV(ws.s1a, ws.s1b)
 	r1 := ws.s1a
 	for node := 0; node < p.N; node++ {
 		pos := p.Perm[node]

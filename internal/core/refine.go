@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"bear/internal/obsv"
-	"bear/internal/sparse/kernel"
 )
 
 // This file implements the accuracy guardrail for BEAR-Approx: residual
@@ -99,7 +98,7 @@ func (p *Precomputed) Residual(x, q []float64) (float64, error) {
 	for node, v := range x {
 		ws.rz[p.Perm[node]] = v
 	}
-	p.kern.h.Residual(ws.rr, ws.rq, ws.rz, kernel.Exact)
+	p.kern.h.Residual(ws.rr, ws.rq, ws.rz)
 	return infNorm(ws.rr), nil
 }
 
@@ -158,7 +157,7 @@ func (p *Precomputed) SolveRefinedCtx(ctx context.Context, dst, b []float64, tol
 		for node, v := range dst {
 			zp[p.Perm[node]] = v
 		}
-		p.kern.h.Residual(ws.rr, qp, zp, kernel.Exact)
+		p.kern.h.Residual(ws.rr, qp, zp)
 		res := infNorm(ws.rr)
 		sw.Stop()
 		stats.Residual = res

@@ -385,32 +385,6 @@ func TestLoadRejectsEveryTruncation(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyV1 keeps the pre-CRC format readable: a payload behind the
-// old magic still loads (it simply gets no integrity check).
-func TestLoadLegacyV1(t *testing.T) {
-	g := gen.ErdosRenyi(40, 160, 21)
-	p, err := Preprocess(g, Options{K: 1})
-	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
-	}
-	var buf bytes.Buffer
-	e := &encoder{w: &buf}
-	e.bytes(magic[:])
-	p.encodePayload(e, false)
-	if e.err != nil {
-		t.Fatalf("encoding v1 file: %v", e.err)
-	}
-	p2, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("loading v1 file: %v", err)
-	}
-	a, _ := p.Query(0)
-	b, _ := p2.Query(0)
-	if diff := maxAbsDiff(a, b); diff != 0 {
-		t.Fatalf("v1 roundtrip differs by %g", diff)
-	}
-}
-
 func TestDynamicStateRejectsByteFlips(t *testing.T) {
 	g := gen.ErdosRenyi(40, 200, 22)
 	d, err := NewDynamic(g, Options{K: 1})

@@ -11,15 +11,11 @@ import (
 	"bear/internal/sparse"
 )
 
-// magic identifies the BEAR precomputed-matrix file format, version 1:
-// payload only, no integrity footer. Still readable, never written.
-var magic = [8]byte{'B', 'E', 'A', 'R', 'P', 'C', '0', '1'}
-
-// magic2 identifies version 2 of the format: the same payload followed by
-// an integrity footer — the byte length of everything before the footer
-// (8 bytes, little endian) and the IEEE CRC32 of those same bytes (4
-// bytes) — so truncated or bit-flipped files are rejected loudly instead
-// of deserializing into silent garbage.
+// magic2 identifies version 2 of the BEAR precomputed-matrix file format:
+// the payload followed by an integrity footer — the byte length of
+// everything before the footer (8 bytes, little endian) and the IEEE CRC32
+// of those same bytes (4 bytes) — so truncated or bit-flipped files are
+// rejected loudly instead of deserializing into silent garbage.
 var magic2 = [8]byte{'B', 'E', 'A', 'R', 'P', 'C', '0', '2'}
 
 // magic3 identifies version 3 of the format: the v2 payload followed by an
@@ -126,9 +122,8 @@ func decodePayload(d *decoder, withH bool) (*Precomputed, error) {
 	return p, nil
 }
 
-// Load reads matrices previously written by Save. Version-2 files are
-// verified against their length/CRC32 footer; legacy version-1 files are
-// accepted without an integrity check.
+// Load reads matrices previously written by Save, verifying them against
+// their length/CRC32 footer.
 func Load(r io.Reader) (*Precomputed, error) {
 	cr := &crcReader{r: bufio.NewReader(r)}
 	d := &decoder{r: cr}
@@ -137,21 +132,17 @@ func Load(r io.Reader) (*Precomputed, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("core: loading precomputed matrices: %w", d.err)
 	}
-	switch got {
-	case magic: // legacy v1: no footer
-		return decodePayload(d, false)
-	case magic2, magic3:
-		p, err := decodePayload(d, got == magic3)
-		if err != nil {
-			return nil, err
-		}
-		if err := cr.checkFooter(); err != nil {
-			return nil, err
-		}
-		return p, nil
-	default:
+	if got != magic2 && got != magic3 {
 		return nil, fmt.Errorf("core: bad magic %q; not a BEAR precomputed file", got[:])
 	}
+	p, err := decodePayload(d, got == magic3)
+	if err != nil {
+		return nil, err
+	}
+	if err := cr.checkFooter(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // crcWriter counts and checksums everything written through it.

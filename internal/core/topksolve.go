@@ -22,8 +22,6 @@ import (
 	"context"
 	"math"
 	"sort"
-
-	"bear/internal/sparse/kernel"
 )
 
 // topKBoundSlack inflates computed bounds so floating-point rounding in
@@ -160,8 +158,8 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 		if pos < n1 {
 			bi := p.blockOfPos(pos)
 			lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
-			p.kern.l1inv.SpMVRange(ws.s1a, b1, lo, hi, kernel.Exact)
-			p.kern.u1inv.SpMVRange(ws.s1b, ws.s1a, lo, hi, kernel.Exact)
+			p.kern.l1inv.SpMVRange(ws.s1a, b1, lo, hi)
+			p.kern.u1inv.SpMVRange(ws.s1b, ws.s1a, lo, hi)
 			if err := ctx.Err(); err != nil {
 				return nil, nil, 0, 0, err
 			}
@@ -179,7 +177,7 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 	// per-block bounds anyway.
 	z := ws.s1a
 	if n2 > 0 {
-		p.kern.h12.SpMV(z, r2, kernel.Exact)
+		p.kern.h12.SpMV(z, r2)
 	} else {
 		for i := range z {
 			z[i] = 0
@@ -213,8 +211,8 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 		// The factors are block diagonal: rows [lo,hi) read only columns
 		// [lo,hi), so x₁ᵢ may overwrite z's block range in place once its
 		// L-product is taken.
-		p.kern.l1inv.SpMVRange(ws.s1b, z, lo, hi, kernel.Exact)
-		p.kern.u1inv.SpMVRange(z, ws.s1b, lo, hi, kernel.Exact)
+		p.kern.l1inv.SpMVRange(ws.s1b, z, lo, hi)
+		p.kern.u1inv.SpMVRange(z, ws.s1b, lo, hi)
 		for j := lo; j < hi; j++ {
 			v := p.InvPerm[j]
 			dst[v] = c * z[j]

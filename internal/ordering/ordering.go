@@ -3,7 +3,7 @@
 // graph to a hub/spoke split, a block partition of the spokes, and a
 // per-block node order — the structure every downstream stage (block LU,
 // Schur complement, the Lemma-1 single-seed fast path, incremental dirty-
-// block rebuilds, future block-level sharding) is built on.
+// block rebuilds) is built on.
 //
 // Every engine must satisfy the same contract, spelled out on Result and
 // enforced by Validate:
@@ -18,9 +18,9 @@
 //
 // Any permutation meeting the contract yields exact query results; engines
 // differ only in fill-in of the inverted factors, Schur size, preprocess
-// time, and query speed. Three engines are built in — SlashBurn (the
-// paper's choice), minimum-degree elimination, and nested dissection — and
-// more can be added with Register.
+// time, and query speed. Two engines are built in — SlashBurn (the paper's
+// choice) and minimum-degree elimination — and more can be added with
+// Register.
 package ordering
 
 import (
@@ -39,8 +39,7 @@ const Default = "slashburn"
 type Params struct {
 	// K is the hub-selection budget, the SlashBurn wave size of the paper
 	// (k = 0.001·n by default, clamped to at least 1). Engines without a
-	// wave notion reuse it as their scale knob: nested dissection stops
-	// recursing at components of max(32, 2K) nodes. Must be positive.
+	// wave notion may reuse it as their scale knob. Must be positive.
 	K int
 }
 
@@ -56,15 +55,9 @@ type Result struct {
 	Blocks  []int // sizes of the diagonal blocks of H₁₁, in position order
 
 	// Iterations is an engine-specific work counter: hub-removal waves for
-	// slashburn, mass-eliminated (supernode-absorbed) nodes for mindeg,
-	// recursion depth for nd. Purely observational.
+	// slashburn, mass-eliminated (supernode-absorbed) nodes for mindeg.
+	// Purely observational.
 	Iterations int
-
-	// Tree is the recursion tree of a nested-dissection ordering, nil for
-	// other engines. It is the partition structure block-level sharding
-	// needs: each leaf names one diagonal block, each internal node names
-	// the separator (hub subset) that splits its region.
-	Tree *PartitionTree
 }
 
 // SumSqBlocks returns Σ n₁ᵢ², the quantity the paper's complexity analysis
@@ -75,41 +68,6 @@ func (r *Result) SumSqBlocks() int64 {
 		s += int64(b) * int64(b)
 	}
 	return s
-}
-
-// PartitionTree is the recursion tree of a nested-dissection ordering.
-// Leaves are in left-to-right position order, so the blocks covered by any
-// subtree occupy one contiguous range of spoke positions — the property a
-// future sharding layer needs to assign subtrees to shards while
-// replicating only the (small) separator/hub factors.
-type PartitionTree struct {
-	// Lo and Hi bound the final spoke positions covered by this subtree's
-	// leaf blocks: [Lo, Hi).
-	Lo, Hi int
-	// Block indexes Result.Blocks for a leaf node; -1 for internal nodes.
-	Block int
-	// SepNodes lists the original node ids of the separator this internal
-	// node removed (always empty on leaves). Every separator node is a hub
-	// in the final ordering.
-	SepNodes []int
-	// Children are the sub-regions the separator disconnected, in position
-	// order. Empty on leaves.
-	Children []*PartitionTree
-}
-
-// Leaves appends the tree's leaf nodes in position order to dst and
-// returns it.
-func (t *PartitionTree) Leaves(dst []*PartitionTree) []*PartitionTree {
-	if t == nil {
-		return dst
-	}
-	if len(t.Children) == 0 {
-		return append(dst, t)
-	}
-	for _, c := range t.Children {
-		dst = c.Leaves(dst)
-	}
-	return dst
 }
 
 // Ordering is one reordering engine. Implementations must be stateless and
@@ -142,7 +100,7 @@ var (
 )
 
 func init() {
-	for _, o := range []Ordering{SlashBurn{}, MinDegree{}, NestedDissection{}} {
+	for _, o := range []Ordering{SlashBurn{}, MinDegree{}} {
 		if err := Register(o); err != nil {
 			panic(err)
 		}
@@ -301,59 +259,6 @@ func Validate(g *graph.Graph, r *Result) error {
 					u, v, blockOf[pu], blockOf[pv])
 			}
 		}
-	}
-	if r.Tree != nil {
-		if err := validateTree(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateTree checks a PartitionTree against its Result: leaves must
-// enumerate the blocks in position order with consistent [Lo,Hi) ranges,
-// and every separator node must be a hub.
-func validateTree(r *Result) error {
-	leaves := r.Tree.Leaves(nil)
-	if len(leaves) != len(r.Blocks) {
-		return fmt.Errorf("ordering: partition tree has %d leaves, want %d blocks", len(leaves), len(r.Blocks))
-	}
-	pos := 0
-	for i, leaf := range leaves {
-		if leaf.Block != i {
-			return fmt.Errorf("ordering: leaf %d labels block %d", i, leaf.Block)
-		}
-		if leaf.Lo != pos || leaf.Hi != pos+r.Blocks[i] {
-			return fmt.Errorf("ordering: leaf %d covers [%d,%d), want [%d,%d)",
-				i, leaf.Lo, leaf.Hi, pos, pos+r.Blocks[i])
-		}
-		pos += r.Blocks[i]
-	}
-	n1 := len(r.Perm) - r.NumHubs
-	seps := 0
-	var walk func(t *PartitionTree) error
-	walk = func(t *PartitionTree) error {
-		if len(t.Children) == 0 && len(t.SepNodes) > 0 {
-			return fmt.Errorf("ordering: leaf carries a separator")
-		}
-		for _, u := range t.SepNodes {
-			if r.Perm[u] < n1 {
-				return fmt.Errorf("ordering: separator node %d is not a hub", u)
-			}
-			seps++
-		}
-		for _, c := range t.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(r.Tree); err != nil {
-		return err
-	}
-	if seps != r.NumHubs {
-		return fmt.Errorf("ordering: tree separators cover %d hubs, want %d", seps, r.NumHubs)
 	}
 	return nil
 }

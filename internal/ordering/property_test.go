@@ -103,8 +103,7 @@ func orderingFixtures() []struct {
 // table at two hub budgets and checks the full contract via Validate:
 // bijective permutation with hubs last, positive position-ordered blocks
 // covering exactly the spokes, no undirected edge between spokes of
-// different blocks (the Lemma 1 precondition), and a well-formed
-// partition tree when one is exported. Results must also be
+// different blocks (the Lemma 1 precondition). Results must also be
 // deterministic — two runs on the same graph bit-identical — because
 // the incremental rebuild and the snapshot format both assume it.
 func TestOrderingInvariants(t *testing.T) {
@@ -140,38 +139,6 @@ func TestOrderingInvariants(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestPartitionTreeLeaves: the nd engine exports a partition tree whose
-// leaves enumerate the blocks in position order — the contract future
-// shard placement consumes.
-func TestPartitionTreeLeaves(t *testing.T) {
-	eng, err := ordering.Get("nd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 8, Size: 12, PIntra: 0.35, Hubs: 5, HubDeg: 18, Seed: 11})
-	res, err := eng.Run(g, ordering.Params{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tree == nil {
-		t.Fatal("nd exported no partition tree")
-	}
-	leaves := res.Tree.Leaves(nil)
-	if len(leaves) != len(res.Blocks) {
-		t.Fatalf("%d tree leaves, %d blocks", len(leaves), len(res.Blocks))
-	}
-	pos := 0
-	for i, lf := range leaves {
-		if lf.Block != i {
-			t.Fatalf("leaf %d carries block %d", i, lf.Block)
-		}
-		if lf.Lo != pos || lf.Hi != pos+res.Blocks[i] {
-			t.Fatalf("leaf %d spans [%d,%d), want [%d,%d)", i, lf.Lo, lf.Hi, pos, pos+res.Blocks[i])
-		}
-		pos = lf.Hi
 	}
 }
 

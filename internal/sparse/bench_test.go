@@ -36,34 +36,6 @@ func BenchmarkMulVec(b *testing.B) {
 	}
 }
 
-// BenchmarkMulVecRange measures the block-restricted kernels against the
-// full product they replace on the BEAR fast path: a row window of a
-// block-diagonal-like matrix and a column window with block-supported x.
-func BenchmarkMulVecRange(b *testing.B) {
-	const n, window = 100000, 1000
-	m := benchMatrix(n, 8)
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%7) - 3
-	}
-	b.Run("rows/full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MulVecTo(y, x)
-		}
-	})
-	b.Run("rows/window", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MulVecRangeTo(y, x, n/2, n/2+window)
-		}
-	})
-	b.Run("cols/window", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.MulVecColRangeTo(y, x, n/2, n/2+window)
-		}
-	})
-}
-
 func BenchmarkSpGEMM(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		x := benchMatrix(n, 6)

@@ -52,25 +52,16 @@ func benchLayouts(m *sparse.CSR) []struct {
 	}{
 		{"csr", kernel.NewCSR(m)},
 	}
-	if h := kernel.NewHybrid(m); h != nil {
-		out = append(out, struct {
-			name string
-			k    kernel.Matrix
-		}{"hybrid", h})
-	}
 	if s := kernel.NewSELL(m); s != nil {
 		out = append(out, struct {
 			name string
 			k    kernel.Matrix
 		}{"sell", s})
 	}
-	for _, w := range []int{0} {
-		out = append(out, struct {
-			name string
-			k    kernel.Matrix
-		}{fmt.Sprintf("parallel-w%d", runtime.GOMAXPROCS(0)), kernel.NewParallel(kernel.NewCSR(m), m, w)})
-	}
-	return out
+	return append(out, struct {
+		name string
+		k    kernel.Matrix
+	}{fmt.Sprintf("parallel-w%d", runtime.GOMAXPROCS(0)), kernel.NewParallel(m, 0)})
 }
 
 // BenchmarkKernelSpMV sweeps format × threads × block shape on the real
@@ -89,7 +80,7 @@ func BenchmarkKernelSpMV(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", mname, lc.name), func(b *testing.B) {
 				b.ReportMetric(float64(m.NNZ()), "nnz")
 				for i := 0; i < b.N; i++ {
-					lc.k.SpMV(y, x, kernel.Exact)
+					lc.k.SpMV(y, x)
 				}
 			})
 		}
@@ -110,7 +101,7 @@ func BenchmarkKernelSpMM(b *testing.B) {
 	for _, lc := range benchLayouts(m) {
 		b.Run(lc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lc.k.SpMM(y, x, nb, kernel.Exact)
+				lc.k.SpMM(y, x, nb)
 			}
 		})
 	}

@@ -1,11 +1,18 @@
 package kernel
 
-import "bear/internal/sparse"
+import (
+	"fmt"
+	"sort"
 
-// CSR is the baseline layout: a thin adapter over the tuned kernels of
-// sparse.CSR. Exact mode delegates to them directly (bit-identity by
-// construction); Reassoc mode runs a 4-way strided unroll for the
-// vector kernels.
+	"bear/internal/sparse"
+)
+
+// CSR is the baseline layout: the product loops run straight over a
+// sparse.CSR's arrays, accumulating each row in ascending stored-column
+// order. The full SpMV is sparse.(*CSR).MulVecTo itself; the ranged,
+// column-windowed, multi-RHS and residual loops live here. SELL and
+// Parallel call the unexported loops directly, so a call on either counts
+// only against its own layout.
 type CSR struct {
 	m *sparse.CSR
 }
@@ -13,86 +20,245 @@ type CSR struct {
 // NewCSR wraps m without copying.
 func NewCSR(m *sparse.CSR) *CSR { return &CSR{m: m} }
 
-func (k *CSR) Dims() (int, int) { return k.m.R, k.m.C }
-func (k *CSR) NNZ() int         { return k.m.NNZ() }
-func (k *CSR) Layout() string   { return layoutCSR }
+func (k *CSR) Layout() string { return layoutCSR }
 
-// reassocDot accumulates val·x[col] with four strided partial sums
-// combined in the fixed order (a0+a1)+(a2+a3), then a serial tail —
-// deterministic, but rounded differently from the serial Exact order.
-func reassocDot(val []float64, col []int, x []float64) float64 {
-	var a0, a1, a2, a3 float64
-	j := 0
-	for ; j+4 <= len(val); j += 4 {
-		a0 += val[j] * x[col[j]]
-		a1 += val[j+1] * x[col[j+1]]
-		a2 += val[j+2] * x[col[j+2]]
-		a3 += val[j+3] * x[col[j+3]]
-	}
-	s := (a0 + a1) + (a2 + a3)
-	for ; j < len(val); j++ {
-		s += val[j] * x[col[j]]
-	}
-	return s
-}
-
-func (k *CSR) reassocRows(y, x []float64, lo, hi int) {
-	m := k.m
-	for i := lo; i < hi; i++ {
-		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-		y[i] = reassocDot(m.Val[ks:ke], m.ColIdx[ks:ke:ke], x)
-	}
-}
-
-func (k *CSR) SpMV(y, x []float64, mode Mode) {
+func (k *CSR) SpMV(y, x []float64) {
 	statSpMV(layoutCSR)
-	if mode == Reassoc {
-		k.reassocRows(y, x, 0, k.m.R)
-		return
-	}
 	k.m.MulVecTo(y, x)
 }
 
-func (k *CSR) SpMVRange(y, x []float64, lo, hi int, mode Mode) {
+func (k *CSR) SpMVRange(y, x []float64, lo, hi int) {
 	statSpMV(layoutCSR)
-	if mode == Reassoc {
-		k.reassocRows(y, x, lo, hi)
-		return
+	k.spmvRange(y, x, lo, hi)
+}
+
+func (k *CSR) SpMVColRange(y, x []float64, lo, hi int) {
+	statSpMV(layoutCSR)
+	k.spmvColRange(y, x, lo, hi)
+}
+
+func (k *CSR) SpMM(y, x []float64, nb int) {
+	statSpMM(layoutCSR)
+	k.spmmRange(y, x, nb, 0, k.m.R)
+}
+
+func (k *CSR) SpMMRange(y, x []float64, nb, lo, hi int) {
+	statSpMM(layoutCSR)
+	k.spmmRange(y, x, nb, lo, hi)
+}
+
+func (k *CSR) SpMMColRange(y, x []float64, nb, lo, hi int) {
+	statSpMM(layoutCSR)
+	k.spmmColRange(y, x, nb, lo, hi)
+}
+
+func (k *CSR) Residual(r, q, x []float64) {
+	statSpMV(layoutCSR)
+	k.residual(r, q, x)
+}
+
+// spmvRange computes rows [lo, hi) of y = A x, writing only y[lo:hi] and
+// leaving the rest of y untouched. It is the row-restricted loop the BEAR
+// single-seed fast path uses on block-diagonal factors: when x is
+// supported on one diagonal block, only that block's rows of the product
+// can be nonzero (Lemma 1 of the paper), so the remaining rows need not be
+// computed at all. For the rows it does compute, the accumulation order is
+// identical to MulVecTo, so the written entries are bit-identical.
+func (k *CSR) spmvRange(y, x []float64, lo, hi int) {
+	m := k.m
+	if len(x) != m.C || len(y) != m.R {
+		panic(fmt.Sprintf("kernel: SpMVRange shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d", m.R, m.C, len(x), len(y)))
 	}
-	k.m.MulVecRangeTo(y, x, lo, hi)
-}
-
-func (k *CSR) SpMVColRange(y, x []float64, lo, hi int, mode Mode) {
-	statSpMV(layoutCSR)
-	// The column-windowed kernel binary-searches each row's window; rows
-	// are short there, so no reassociated variant pays off.
-	k.m.MulVecColRangeTo(y, x, lo, hi)
-}
-
-func (k *CSR) SpMM(y, x []float64, nb int, mode Mode) {
-	statSpMM(layoutCSR)
-	k.m.MulMultiTo(y, x, nb)
-}
-
-func (k *CSR) SpMMRange(y, x []float64, nb, lo, hi int, mode Mode) {
-	statSpMM(layoutCSR)
-	k.m.MulRangeMultiTo(y, x, nb, lo, hi)
-}
-
-func (k *CSR) SpMMColRange(y, x []float64, nb, lo, hi int, mode Mode) {
-	statSpMM(layoutCSR)
-	k.m.MulColRangeMultiTo(y, x, nb, lo, hi)
-}
-
-func (k *CSR) Residual(r, q, x []float64, mode Mode) {
-	statSpMV(layoutCSR)
-	if mode == Reassoc {
-		m := k.m
-		for i := 0; i < m.R; i++ {
-			ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-			r[i] = q[i] - reassocDot(m.Val[ks:ke], m.ColIdx[ks:ke:ke], x)
+	if lo < 0 || hi > m.R || lo > hi {
+		panic(fmt.Sprintf("kernel: SpMVRange rows [%d,%d) out of %d", lo, hi, m.R))
+	}
+	for i := lo; i < hi; i++ {
+		var s float64
+		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
+		val := m.Val[ks:ke]
+		col := m.ColIdx[ks:ke:ke]
+		for j, v := range val {
+			s += v * x[col[j]]
 		}
-		return
+		y[i] = s
 	}
-	sparse.ResidualTo(r, q, k.m, x)
+}
+
+// spmvColRange computes y = A[:, lo:hi] · x[lo:hi]: every row of y is
+// written, but each row's accumulation visits only the stored entries whose
+// column index falls in [lo, hi), located by binary search within the
+// row's sorted column indices. When x is exactly zero outside [lo, hi) the
+// nonzero terms and their order match MulVecTo, so any entry that MulVecTo
+// would compute as nonzero is bit-identical (skipped ±0 terms can at most
+// flip the sign of an exact zero).
+func (k *CSR) spmvColRange(y, x []float64, lo, hi int) {
+	m := k.m
+	if len(x) != m.C || len(y) != m.R {
+		panic(fmt.Sprintf("kernel: SpMVColRange shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d", m.R, m.C, len(x), len(y)))
+	}
+	if lo < 0 || hi > m.C || lo > hi {
+		panic(fmt.Sprintf("kernel: SpMVColRange cols [%d,%d) out of %d", lo, hi, m.C))
+	}
+	for i := 0; i < m.R; i++ {
+		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
+		k := ks + sort.SearchInts(m.ColIdx[ks:ke], lo)
+		var s float64
+		for ; k < ke && m.ColIdx[k] < hi; k++ {
+			s += m.Val[k] * x[m.ColIdx[k]]
+		}
+		y[i] = s
+	}
+}
+
+// Multi-RHS (SpMM) loops: one traversal of the CSR structure applied to a
+// block of nb right-hand sides at once. The RHS block X is stored
+// node-contiguously — the nb values for matrix column j occupy
+// x[j*nb:(j+1)*nb]. Compared with nb single-vector products this reads
+// RowPtr/ColIdx/Val once per register tile instead of nb times, which is
+// the whole win: the factor matrices are far larger than the vectors, so
+// the per-seed path is bandwidth-bound on re-reading them.
+//
+// The inner loop is register-tiled: each row's output is computed four
+// right-hand sides at a time with four scalar accumulators, so a stored
+// entry costs four fused multiply-adds on registers and the output row is
+// written exactly once. The naive layout-order alternative — sweep all nb
+// outputs per stored entry — issues nb cache stores per entry, which costs
+// as much as the nb separate traversals it was meant to save.
+//
+// For each right-hand side the accumulation order over a row's stored
+// entries is identical to MulVecTo, so every output column is bit-identical
+// to the corresponding single-vector product.
+
+// spmmRange computes rows [lo, hi) of Y = A X for nb right-hand sides,
+// writing only y[lo*nb:hi*nb] and leaving the rest of y untouched. x must
+// have length m.C*nb and y length m.R*nb. The blocked batch solver uses the
+// row window on block-diagonal factors, where only the seeds' diagonal
+// block can be nonzero (Lemma 1 of the paper).
+func (k *CSR) spmmRange(y, x []float64, nb, lo, hi int) {
+	m := k.m
+	if nb <= 0 {
+		panic(fmt.Sprintf("kernel: SpMM with %d right-hand sides", nb))
+	}
+	if len(x) != m.C*nb || len(y) != m.R*nb {
+		panic(fmt.Sprintf("kernel: SpMM shape mismatch: A is %dx%d, nb=%d, len(x)=%d, len(y)=%d",
+			m.R, m.C, nb, len(x), len(y)))
+	}
+	if lo < 0 || hi > m.R || lo > hi {
+		panic(fmt.Sprintf("kernel: SpMMRange rows [%d,%d) out of %d", lo, hi, m.R))
+	}
+	for i := lo; i < hi; i++ {
+		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
+		mulRowTiled(y[i*nb:(i+1)*nb:(i+1)*nb], x, m.Val, m.ColIdx, nb, ks, ke)
+	}
+}
+
+// mulRowTiled computes one output row of a multi-RHS product: for each
+// right-hand side t, row[t] = Σ_p val[p]·x[colIdx[p]*nb+t] over stored
+// entries [ks, ke), accumulating four right-hand sides per entry pass in
+// registers. Per column the entry order matches MulVecTo, so each output
+// is bit-identical to the single-vector product.
+func mulRowTiled(row, x, val []float64, colIdx []int, nb, ks, ke int) {
+	t := 0
+	for ; t+8 <= nb; t += 8 {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for p := ks; p < ke; p++ {
+			v := val[p]
+			xr := x[colIdx[p]*nb+t:]
+			xr = xr[:8:8]
+			a0 += v * xr[0]
+			a1 += v * xr[1]
+			a2 += v * xr[2]
+			a3 += v * xr[3]
+			a4 += v * xr[4]
+			a5 += v * xr[5]
+			a6 += v * xr[6]
+			a7 += v * xr[7]
+		}
+		row[t] = a0
+		row[t+1] = a1
+		row[t+2] = a2
+		row[t+3] = a3
+		row[t+4] = a4
+		row[t+5] = a5
+		row[t+6] = a6
+		row[t+7] = a7
+	}
+	for ; t+4 <= nb; t += 4 {
+		var a0, a1, a2, a3 float64
+		for p := ks; p < ke; p++ {
+			v := val[p]
+			xr := x[colIdx[p]*nb+t:]
+			xr = xr[:4:4]
+			a0 += v * xr[0]
+			a1 += v * xr[1]
+			a2 += v * xr[2]
+			a3 += v * xr[3]
+		}
+		row[t] = a0
+		row[t+1] = a1
+		row[t+2] = a2
+		row[t+3] = a3
+	}
+	for ; t < nb; t++ {
+		var acc float64
+		for p := ks; p < ke; p++ {
+			acc += val[p] * x[colIdx[p]*nb+t]
+		}
+		row[t] = acc
+	}
+}
+
+// spmmColRange computes Y = A[:, lo:hi] · X[lo:hi] for nb right-hand
+// sides: every row of Y is written, but each row's accumulation visits only
+// the stored entries whose column index falls in [lo, hi), located by
+// binary search within the row's sorted column indices. It is the
+// multi-RHS analogue of spmvColRange, with the same bit-identity
+// guarantee when X is exactly zero outside [lo, hi).
+func (k *CSR) spmmColRange(y, x []float64, nb, lo, hi int) {
+	m := k.m
+	if nb <= 0 {
+		panic(fmt.Sprintf("kernel: SpMMColRange with %d right-hand sides", nb))
+	}
+	if len(x) != m.C*nb || len(y) != m.R*nb {
+		panic(fmt.Sprintf("kernel: SpMMColRange shape mismatch: A is %dx%d, nb=%d, len(x)=%d, len(y)=%d",
+			m.R, m.C, nb, len(x), len(y)))
+	}
+	if lo < 0 || hi > m.C || lo > hi {
+		panic(fmt.Sprintf("kernel: SpMMColRange cols [%d,%d) out of %d", lo, hi, m.C))
+	}
+	for i := 0; i < m.R; i++ {
+		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
+		ps := ks + sort.SearchInts(m.ColIdx[ks:ke], lo)
+		pe := ps + sort.SearchInts(m.ColIdx[ps:ke], hi)
+		mulRowTiled(y[i*nb:(i+1)*nb:(i+1)*nb], x, m.Val, m.ColIdx, nb, ps, pe)
+	}
+}
+
+// residual computes r = q − H·x in one fused pass: each row's H·x dot
+// product is accumulated and immediately subtracted from q, so the product
+// is never materialized and the loop allocates nothing. r must have
+// length h.R and x length h.C; r may alias q (each r[i] is written after
+// row i's accumulation reads only x) but must not alias x.
+//
+// This is the residual of BEAR's iterative-refinement loop: with x an
+// approximate solve of H·x = q from the BEAR-Approx factors, r is the
+// defect the next Richardson sweep corrects. The per-row accumulation
+// order matches MulVecTo, so residual magnitudes are reproducible
+// bit-for-bit across the plain and fused paths.
+func (k *CSR) residual(r, q, x []float64) {
+	h := k.m
+	if len(x) != h.C || len(r) != h.R || len(q) != h.R {
+		panic(fmt.Sprintf("kernel: Residual shape mismatch: H is %dx%d, len(x)=%d, len(q)=%d, len(r)=%d",
+			h.R, h.C, len(x), len(q), len(r)))
+	}
+	for i := 0; i < h.R; i++ {
+		var s float64
+		ks, ke := h.RowPtr[i], h.RowPtr[i+1]
+		val := h.Val[ks:ke]
+		col := h.ColIdx[ks:ke:ke]
+		for j, v := range val {
+			s += v * x[col[j]]
+		}
+		r[i] = q[i] - s
+	}
 }

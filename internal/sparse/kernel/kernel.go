@@ -2,97 +2,66 @@
 // linear algebra: one Matrix interface (SpMV, SpMM, ranged and
 // column-ranged variants, fused residual) over pluggable cache-aware
 // storage layouts, in the spirit of the GraphBLAS primitives consolidation
-// (Kepner et al.).
+// (Kepner et al.). Every query-time product runs through it.
 //
 // # Layouts
 //
-//   - csr: the baseline — delegates to the tuned CSR kernels in package
-//     sparse. Every other layout is verified against it.
-//   - hybrid: dense-run CSR. Rows whose stored columns form one contiguous
-//     run (the common case in BEAR's block-diagonal spoke factors, where a
-//     row's support is its own block) are stored index-free and multiplied
-//     as a dense dot against a window of x; remaining rows keep int32
-//     column indices. Halves the index traffic on run-heavy matrices.
+//   - csr: the baseline. It runs the product loops straight over a
+//     sparse.CSR's arrays, and every other layout is verified against it.
 //   - sell: SELL-C-σ (sliced ELLPACK, C=8, σ=C). Rows are processed in
 //     slices of 8, sorted by length within the slice, entries stored
 //     column-position-major so the 8 accumulators advance in lockstep.
-//   - parallel: a wrapper over any layout that row-partitions SpMV/SpMM
-//     across the shared persistent worker pool with nnz-balanced cuts.
+//     Only the full SpMV runs natively; every other product runs the csr
+//     loops.
+//   - parallel: row-partitions the csr loops of SpMV/SpMM across the
+//     shared persistent worker pool with nnz-balanced cuts.
 //
 // # Determinism contract
 //
-// Exact mode guarantees results bit-identical to the baseline CSR kernels:
-// every layout accumulates each output row in the same order as
-// sparse.(*CSR).MulVecTo (ascending stored-column order), and the parallel
-// wrapper assigns each row to exactly one partition whose boundaries
-// depend only on the matrix and the worker count — never on scheduling.
-// Reassoc mode permits a fixed, deterministic reassociation (a 4-way
-// strided unroll combined as (a0+a1)+(a2+a3), then a serial tail): results
-// are still run-to-run identical, but may differ from Exact in the last
-// few ulps. Layouts for which no profitable reassociated variant exists
-// serve Reassoc with their Exact kernel, which trivially satisfies the
-// weaker contract.
+// Every layout returns results bit-identical to the csr loops: each output
+// row is accumulated in ascending stored-column order, the order
+// sparse.(*CSR).MulVecTo uses, and the parallel layout assigns each row to
+// exactly one partition whose boundaries depend only on the matrix and the
+// worker count — never on scheduling.
 package kernel
 
 import "sync/atomic"
 
-// Mode selects the accumulation contract for a kernel call.
-type Mode int
-
-const (
-	// Exact requires bit-identical results to the baseline CSR kernels.
-	Exact Mode = iota
-	// Reassoc permits deterministic reassociation of row accumulations;
-	// results may differ from Exact by rounding (≤1e-12 relative error on
-	// well-scaled inputs) but are identical across runs and worker counts.
-	Reassoc
-)
-
-func (m Mode) String() string {
-	if m == Reassoc {
-		return "reassoc"
-	}
-	return "exact"
-}
-
 // Matrix is the kernel-layer view of a sparse matrix. y/r are fully
 // overwritten outside the documented row window; x is never modified.
 // Multi-vector (SpMM) operands are node-contiguous: x[col*nb+t] holds
-// column t of logical row col, matching sparse.(*CSR).MulMultiTo.
+// column t of logical row col.
 type Matrix interface {
-	// Dims returns the logical (rows, cols) shape.
-	Dims() (r, c int)
-	// NNZ returns the stored entry count.
-	NNZ() int
-	// Layout names the storage layout ("csr", "hybrid", "sell", "parallel").
+	// Layout names the storage layout ("csr", "sell", "parallel").
 	Layout() string
 
 	// SpMV computes y = M·x. len(y) = rows, len(x) = cols.
-	SpMV(y, x []float64, mode Mode)
+	SpMV(y, x []float64)
 	// SpMVRange computes rows [lo, hi) of M·x into y[lo:hi]; other rows of
 	// y are left untouched.
-	SpMVRange(y, x []float64, lo, hi int, mode Mode)
+	SpMVRange(y, x []float64, lo, hi int)
 	// SpMVColRange computes y = M[:, lo:hi]·x using only stored columns in
 	// [lo, hi); x entries outside the window are ignored. All rows of y
 	// are written.
-	SpMVColRange(y, x []float64, lo, hi int, mode Mode)
+	SpMVColRange(y, x []float64, lo, hi int)
 
 	// SpMM computes Y = M·X for nb node-contiguous right-hand sides.
-	SpMM(y, x []float64, nb int, mode Mode)
+	SpMM(y, x []float64, nb int)
 	// SpMMRange computes rows [lo, hi) of M·X.
-	SpMMRange(y, x []float64, nb, lo, hi int, mode Mode)
+	SpMMRange(y, x []float64, nb, lo, hi int)
 	// SpMMColRange computes Y = M[:, lo:hi]·X over stored columns in
 	// [lo, hi) only.
-	SpMMColRange(y, x []float64, nb, lo, hi int, mode Mode)
+	SpMMColRange(y, x []float64, nb, lo, hi int)
 
 	// Residual computes r = q − M·x fused in one pass. r may alias q but
 	// not x.
-	Residual(r, q, x []float64, mode Mode)
+	Residual(r, q, x []float64)
 }
 
 // Layout/parallel-path selection and call counters, exposed for the
 // server's bear_kernel_* metrics. All counters are monotone and safe for
-// concurrent use.
+// concurrent use. Each Matrix method call raises exactly one call counter
+// by one: the one of the layout it was called on.
 type layoutStats struct {
 	selected atomic.Uint64 // matrices constructed with this layout
 	spmv     atomic.Uint64 // SpMV-family calls (incl. ranged variants)
@@ -101,21 +70,19 @@ type layoutStats struct {
 
 const (
 	layoutCSR      = "csr"
-	layoutHybrid   = "hybrid"
 	layoutSELL     = "sell"
 	layoutParallel = "parallel"
 )
 
 var stats = map[string]*layoutStats{
 	layoutCSR:      new(layoutStats),
-	layoutHybrid:   new(layoutStats),
 	layoutSELL:     new(layoutStats),
 	layoutParallel: new(layoutStats),
 }
 
 // Layouts lists every layout name that Stats reports, in display order.
 func Layouts() []string {
-	return []string{layoutCSR, layoutHybrid, layoutSELL, layoutParallel}
+	return []string{layoutCSR, layoutSELL, layoutParallel}
 }
 
 // Stats returns the cumulative selection and call counters for a layout.

@@ -11,24 +11,24 @@ import (
 // the order of a few microseconds, which a small SpMV cannot amortize.
 const minParallelNNZ = 1 << 15
 
-// Parallel row-partitions SpMV/SpMM over the shared persistent worker
-// pool. Partition boundaries are nnz-balanced cuts computed once at
-// construction from the matrix and the worker count — each output row
-// belongs to exactly one partition regardless of scheduling, and within a
-// partition the wrapped layout runs unchanged, so Exact mode stays
-// bit-identical for any worker count.
+// Parallel row-partitions the csr loops of SpMV/SpMM over the shared
+// persistent worker pool. Partition boundaries are nnz-balanced cuts
+// computed once at construction from the matrix and the worker count —
+// each output row belongs to exactly one partition regardless of
+// scheduling, and within a partition the csr row loop runs unchanged, so
+// results stay bit-identical for any worker count.
 //
-// Column-windowed kernels and Residual run sequentially on the wrapped
-// layout: BEAR only calls them on small windows or with dependencies that
-// do not row-partition.
+// Ranged and column-windowed products and Residual run the csr loops
+// sequentially: BEAR only calls them on small windows or with
+// dependencies that do not row-partition.
 type Parallel struct {
-	inner Matrix
-	cuts  []int
+	src  *CSR
+	cuts []int
 }
 
-// NewParallel wraps inner (stored as m) with row partitions for workers
-// parallel lanes (<= 0 selects GOMAXPROCS).
-func NewParallel(inner Matrix, m *sparse.CSR, workers int) *Parallel {
+// NewParallel builds the row partitions of m for workers parallel lanes
+// (<= 0 selects GOMAXPROCS).
+func NewParallel(m *sparse.CSR, workers int) *Parallel {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -38,59 +38,54 @@ func NewParallel(inner Matrix, m *sparse.CSR, workers int) *Parallel {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Parallel{inner: inner, cuts: sparse.SplitNNZ(m.RowPtr, workers)}
+	return &Parallel{src: NewCSR(m), cuts: sparse.SplitNNZ(m.RowPtr, workers)}
 }
 
-// Inner returns the wrapped layout.
-func (p *Parallel) Inner() Matrix { return p.inner }
+func (p *Parallel) Layout() string { return layoutParallel }
 
-func (p *Parallel) Dims() (int, int) { return p.inner.Dims() }
-func (p *Parallel) NNZ() int         { return p.inner.NNZ() }
-func (p *Parallel) Layout() string   { return layoutParallel }
-
-func (p *Parallel) SpMV(y, x []float64, mode Mode) {
+func (p *Parallel) SpMV(y, x []float64) {
 	statSpMV(layoutParallel)
 	parts := len(p.cuts) - 1
 	sparse.DefaultPool().Run(parts, func(w int) {
 		if p.cuts[w] < p.cuts[w+1] {
-			p.inner.SpMVRange(y, x, p.cuts[w], p.cuts[w+1], mode)
+			p.src.spmvRange(y, x, p.cuts[w], p.cuts[w+1])
 		}
 	})
 }
 
-func (p *Parallel) SpMVRange(y, x []float64, lo, hi int, mode Mode) {
+func (p *Parallel) SpMVRange(y, x []float64, lo, hi int) {
 	statSpMV(layoutParallel)
 	// Ranged calls target single spoke blocks on the fast path — too small
 	// to fan out again.
-	p.inner.SpMVRange(y, x, lo, hi, mode)
+	p.src.spmvRange(y, x, lo, hi)
 }
 
-func (p *Parallel) SpMVColRange(y, x []float64, lo, hi int, mode Mode) {
+func (p *Parallel) SpMVColRange(y, x []float64, lo, hi int) {
 	statSpMV(layoutParallel)
-	p.inner.SpMVColRange(y, x, lo, hi, mode)
+	p.src.spmvColRange(y, x, lo, hi)
 }
 
-func (p *Parallel) SpMM(y, x []float64, nb int, mode Mode) {
+func (p *Parallel) SpMM(y, x []float64, nb int) {
 	statSpMM(layoutParallel)
 	parts := len(p.cuts) - 1
 	sparse.DefaultPool().Run(parts, func(w int) {
 		if p.cuts[w] < p.cuts[w+1] {
-			p.inner.SpMMRange(y, x, nb, p.cuts[w], p.cuts[w+1], mode)
+			p.src.spmmRange(y, x, nb, p.cuts[w], p.cuts[w+1])
 		}
 	})
 }
 
-func (p *Parallel) SpMMRange(y, x []float64, nb, lo, hi int, mode Mode) {
+func (p *Parallel) SpMMRange(y, x []float64, nb, lo, hi int) {
 	statSpMM(layoutParallel)
-	p.inner.SpMMRange(y, x, nb, lo, hi, mode)
+	p.src.spmmRange(y, x, nb, lo, hi)
 }
 
-func (p *Parallel) SpMMColRange(y, x []float64, nb, lo, hi int, mode Mode) {
+func (p *Parallel) SpMMColRange(y, x []float64, nb, lo, hi int) {
 	statSpMM(layoutParallel)
-	p.inner.SpMMColRange(y, x, nb, lo, hi, mode)
+	p.src.spmmColRange(y, x, nb, lo, hi)
 }
 
-func (p *Parallel) Residual(r, q, x []float64, mode Mode) {
+func (p *Parallel) Residual(r, q, x []float64) {
 	statSpMV(layoutParallel)
-	p.inner.Residual(r, q, x, mode)
+	p.src.residual(r, q, x)
 }

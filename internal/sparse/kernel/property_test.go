@@ -24,7 +24,7 @@ func randCSR(rng *rand.Rand, r, c int, density float64) *sparse.CSR {
 }
 
 // blockDiagCSR emits a block-diagonal matrix with dense-ish blocks — the
-// spoke-factor shape where the hybrid layout's dense-run path dominates.
+// shape of BEAR's spoke factors L1⁻¹/U1⁻¹.
 func blockDiagCSR(rng *rand.Rand, blocks []int, fill float64) *sparse.CSR {
 	var coords []sparse.Coord
 	off := 0
@@ -41,24 +41,44 @@ func blockDiagCSR(rng *rand.Rand, blocks []int, fill float64) *sparse.CSR {
 	return sparse.NewCSR(off, off, coords)
 }
 
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// refProduct is the reference every layout must reproduce bit for bit:
+// for each row i and right-hand side t, y[i*nb+t] accumulates
+// val·x[col*nb+t] over the row's stored entries in ascending column
+// order, starting from zero and skipping columns outside [clo, chi).
+func refProduct(m *sparse.CSR, x []float64, nb, clo, chi int) []float64 {
+	y := make([]float64, m.R*nb)
+	for i := 0; i < m.R; i++ {
+		for t := 0; t < nb; t++ {
+			var s float64
+			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+				if c := m.ColIdx[p]; c >= clo && c < chi {
+					s += m.Val[p] * x[c*nb+t]
+				}
+			}
+			y[i*nb+t] = s
+		}
+	}
+	return y
+}
+
 type layoutCase struct {
 	name  string
 	build func(m *sparse.CSR) kernel.Matrix
 }
 
-// layoutCases enumerates every layout × worker-count combination the
-// property tests cover: all storage layouts sequentially, and each
-// wrapped in the parallel row-partitioner at 1, 3 and GOMAXPROCS lanes.
+// layoutCases enumerates every layout the property tests cover: csr and
+// sell, and the parallel row-partitioner at 1, 3 and GOMAXPROCS lanes.
 func layoutCases(t testing.TB) []layoutCase {
 	cases := []layoutCase{
 		{"csr", func(m *sparse.CSR) kernel.Matrix { return kernel.NewCSR(m) }},
-		{"hybrid", func(m *sparse.CSR) kernel.Matrix {
-			h := kernel.NewHybrid(m)
-			if h == nil {
-				t.Fatal("NewHybrid returned nil for an int32-narrowable matrix")
-			}
-			return h
-		}},
 		{"sell", func(m *sparse.CSR) kernel.Matrix {
 			s := kernel.NewSELL(m)
 			if s == nil {
@@ -68,45 +88,32 @@ func layoutCases(t testing.TB) []layoutCase {
 		}},
 	}
 	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-		workers := workers
-		for _, base := range cases[:3] {
-			base := base
-			cases = append(cases, layoutCase{
-				name: fmt.Sprintf("parallel(%s,w=%d)", base.name, workers),
-				build: func(m *sparse.CSR) kernel.Matrix {
-					return kernel.NewParallel(base.build(m), m, workers)
-				},
-			})
-		}
+		cases = append(cases, layoutCase{
+			name:  fmt.Sprintf("parallel(w=%d)", workers),
+			build: func(m *sparse.CSR) kernel.Matrix { return kernel.NewParallel(m, workers) },
+		})
 	}
 	return cases
 }
 
-func relErr(got, want float64) float64 {
-	d := math.Abs(got - want)
-	if d == 0 {
-		return 0
-	}
-	scale := math.Abs(want)
-	if scale < 1 {
-		scale = 1
-	}
-	return d / scale
-}
-
-// checkVec compares a kernel result against the baseline: bit-identical
-// in Exact mode, ≤1e-12 relative error in Reassoc mode.
-func checkVec(t *testing.T, what string, mode kernel.Mode, got, want []float64) {
+// checkBits fails unless got and want hold the same float64 bit patterns.
+func checkBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
-		if mode == kernel.Exact {
-			if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-				t.Fatalf("%s [%s]: y[%d] = %v, baseline %v (must be bit-identical)", what, mode, i, got[i], want[i])
-			}
-		} else if e := relErr(got[i], want[i]); e > 1e-12 {
-			t.Fatalf("%s [%s]: y[%d] = %v, baseline %v, rel err %g > 1e-12", what, mode, i, got[i], want[i], e)
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: y[%d] = %v, reference %v (must be bit-identical)", what, i, got[i], want[i])
 		}
 	}
+}
+
+// filled returns a length-n vector of sentinels, so a test can see which
+// entries a ranged product wrote.
+func filled(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Inf(1)
+	}
+	return v
 }
 
 func fixtures(rng *rand.Rand) map[string]*sparse.CSR {
@@ -121,99 +128,198 @@ func fixtures(rng *rand.Rand) map[string]*sparse.CSR {
 	}
 }
 
-// TestKernelLayoutsMatchBaseline is the satellite property test: random
-// graphs × every layout × {1, 3, GOMAXPROCS} workers, asserting
-// bit-identical results vs baseline CSR in Exact mode and ≤1e-12 relative
-// error in Reassoc mode, for every primitive in the Matrix interface.
-// CI runs this under -race, which also exercises the pool partitioning.
+// TestKernelLayoutsMatchBaseline is the layout property test: random
+// matrices × every layout × {1, 3, GOMAXPROCS} workers, asserting every
+// primitive in the Matrix interface is bit-identical to refProduct, that
+// ranged products leave rows outside their window untouched, and that a
+// repeated call reproduces the first. The multi-RHS widths cover the
+// 8-wide and 4-wide register tiles and the scalar tail. CI runs this
+// under -race, which also exercises the pool partitioning.
 func TestKernelLayoutsMatchBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for mname, m := range fixtures(rng) {
-		x := make([]float64, m.C)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		q := make([]float64, m.R)
-		for i := range q {
-			q[i] = rng.NormFloat64()
-		}
-		const nb = 3
-		xm := make([]float64, m.C*nb)
-		for i := range xm {
-			xm[i] = rng.NormFloat64()
-		}
+		x := randVec(rng, m.C)
+		q := randVec(rng, m.R)
 		rowWins := [][2]int{{0, m.R}, {m.R / 3, 2 * m.R / 3}, {m.R / 2, m.R / 2}}
 		colWins := [][2]int{{0, m.C}, {m.C / 4, 3 * m.C / 4}}
 
-		// Baselines straight from the sparse package.
-		wantVec := make([]float64, m.R)
-		m.MulVecTo(wantVec, x)
+		wantVec := refProduct(m, x, 1, 0, m.C)
 		wantRes := make([]float64, m.R)
-		sparse.ResidualTo(wantRes, q, m, x)
-		wantMM := make([]float64, m.R*nb)
-		m.MulMultiTo(wantMM, xm, nb)
+		for i := range wantRes {
+			wantRes[i] = q[i] - wantVec[i]
+		}
 
 		for _, lc := range layoutCases(t) {
 			k := lc.build(m)
-			if r, c := k.Dims(); r != m.R || c != m.C {
-				t.Fatalf("%s/%s: Dims = %dx%d, want %dx%d", mname, lc.name, r, c, m.R, m.C)
-			}
-			if k.NNZ() != m.NNZ() {
-				t.Fatalf("%s/%s: NNZ = %d, want %d", mname, lc.name, k.NNZ(), m.NNZ())
-			}
-			for _, mode := range []kernel.Mode{kernel.Exact, kernel.Reassoc} {
-				tag := fmt.Sprintf("%s/%s", mname, lc.name)
+			tag := fmt.Sprintf("%s/%s", mname, lc.name)
 
-				y := make([]float64, m.R)
-				k.SpMV(y, x, mode)
-				checkVec(t, tag+"/SpMV", mode, y, wantVec)
-				// Determinism: a second call must reproduce the first bit
-				// for bit, in either mode.
-				y2 := make([]float64, m.R)
-				k.SpMV(y2, x, mode)
-				checkVec(t, tag+"/SpMV-repeat", kernel.Exact, y2, y)
+			y := make([]float64, m.R)
+			k.SpMV(y, x)
+			checkBits(t, tag+"/SpMV", y, wantVec)
+			y2 := make([]float64, m.R)
+			k.SpMV(y2, x)
+			checkBits(t, tag+"/SpMV-repeat", y2, y)
 
+			for _, w := range rowWins {
+				lo, hi := w[0], w[1]
+				got := filled(m.R)
+				k.SpMVRange(got, x, lo, hi)
+				want := filled(m.R)
+				copy(want[lo:hi], wantVec[lo:hi])
+				checkBits(t, fmt.Sprintf("%s/SpMVRange[%d:%d]", tag, lo, hi), got, want)
+			}
+			for _, w := range colWins {
+				lo, hi := w[0], w[1]
+				got := filled(m.R)
+				k.SpMVColRange(got, x, lo, hi)
+				checkBits(t, fmt.Sprintf("%s/SpMVColRange[%d:%d]", tag, lo, hi), got, refProduct(m, x, 1, lo, hi))
+			}
+
+			for _, nb := range []int{1, 3, 4, 8, 17} {
+				xm := randVec(rng, m.C*nb)
+				wantMM := refProduct(m, xm, nb, 0, m.C)
+				ym := filled(m.R * nb)
+				k.SpMM(ym, xm, nb)
+				checkBits(t, fmt.Sprintf("%s/SpMM(nb=%d)", tag, nb), ym, wantMM)
 				for _, w := range rowWins {
 					lo, hi := w[0], w[1]
-					want := make([]float64, m.R)
-					m.MulVecRangeTo(want, x, lo, hi)
-					got := make([]float64, m.R)
-					k.SpMVRange(got, x, lo, hi, mode)
-					checkVec(t, fmt.Sprintf("%s/SpMVRange[%d:%d]", tag, lo, hi), mode, got[lo:hi], want[lo:hi])
+					got := filled(m.R * nb)
+					k.SpMMRange(got, xm, nb, lo, hi)
+					want := filled(m.R * nb)
+					copy(want[lo*nb:hi*nb], wantMM[lo*nb:hi*nb])
+					checkBits(t, fmt.Sprintf("%s/SpMMRange(nb=%d)[%d:%d]", tag, nb, lo, hi), got, want)
 				}
 				for _, w := range colWins {
 					lo, hi := w[0], w[1]
-					want := make([]float64, m.R)
-					m.MulVecColRangeTo(want, x, lo, hi)
-					got := make([]float64, m.R)
-					k.SpMVColRange(got, x, lo, hi, mode)
-					checkVec(t, fmt.Sprintf("%s/SpMVColRange[%d:%d]", tag, lo, hi), mode, got, want)
+					got := filled(m.R * nb)
+					k.SpMMColRange(got, xm, nb, lo, hi)
+					checkBits(t, fmt.Sprintf("%s/SpMMColRange(nb=%d)[%d:%d]", tag, nb, lo, hi), got, refProduct(m, xm, nb, lo, hi))
 				}
+			}
 
-				ym := make([]float64, m.R*nb)
-				k.SpMM(ym, xm, nb, mode)
-				checkVec(t, tag+"/SpMM", mode, ym, wantMM)
-				for _, w := range rowWins {
-					lo, hi := w[0], w[1]
-					want := make([]float64, m.R*nb)
-					m.MulRangeMultiTo(want, xm, nb, lo, hi)
-					got := make([]float64, m.R*nb)
-					k.SpMMRange(got, xm, nb, lo, hi, mode)
-					checkVec(t, fmt.Sprintf("%s/SpMMRange[%d:%d]", tag, lo, hi), mode, got[lo*nb:hi*nb], want[lo*nb:hi*nb])
-				}
-				for _, w := range colWins {
-					lo, hi := w[0], w[1]
-					want := make([]float64, m.R*nb)
-					m.MulColRangeMultiTo(want, xm, nb, lo, hi)
-					got := make([]float64, m.R*nb)
-					k.SpMMColRange(got, xm, nb, lo, hi, mode)
-					checkVec(t, fmt.Sprintf("%s/SpMMColRange[%d:%d]", tag, lo, hi), mode, got, want)
-				}
+			res := filled(m.R)
+			k.Residual(res, q, x)
+			checkBits(t, tag+"/Residual", res, wantRes)
+		}
+	}
+}
 
-				if m.R == m.C {
-					res := make([]float64, m.R)
-					k.Residual(res, q, x, mode)
-					checkVec(t, tag+"/Residual", mode, res, wantRes)
+// TestKernelPanicsOnBadArguments locks in the argument contract of the
+// products that run the csr loops: mismatched shapes, row or column
+// windows outside the matrix or reversed, and non-positive RHS counts all
+// panic on every layout. The shape cases pass an x one entry too long, so
+// only the explicit check can catch them. Parallel runs at one lane,
+// where the partition runs on the calling goroutine and its panic can be
+// recovered.
+func TestKernelPanicsOnBadArguments(t *testing.T) {
+	m := sparse.Identity(3)
+	x, y, long := make([]float64, 3), make([]float64, 3), make([]float64, 4)
+	xm, ym := make([]float64, 6), make([]float64, 6)
+	for _, k := range []kernel.Matrix{kernel.NewCSR(m), kernel.NewSELL(m), kernel.NewParallel(m, 1)} {
+		for name, fn := range map[string]func(){
+			"SpMVRange/rows-past-end":  func() { k.SpMVRange(y, x, 2, 4) },
+			"SpMVRange/rows-reversed":  func() { k.SpMVRange(y, x, 2, 1) },
+			"SpMVRange/shape":          func() { k.SpMVRange(y, long, 0, 3) },
+			"SpMVColRange/cols-before": func() { k.SpMVColRange(y, x, -1, 2) },
+			"SpMVColRange/shape":       func() { k.SpMVColRange(y, long, 0, 3) },
+			"SpMM/nb-zero":             func() { k.SpMM(nil, nil, 0) },
+			"SpMM/shape":               func() { k.SpMM(ym, append(xm, 0), 2) },
+			"SpMMRange/rows-past-end":  func() { k.SpMMRange(ym, xm, 2, 1, 4) },
+			"SpMMRange/nb-zero":        func() { k.SpMMRange(nil, nil, 0, 0, 1) },
+			"SpMMColRange/cols-before": func() { k.SpMMColRange(ym, xm, 2, -1, 2) },
+			"SpMMColRange/nb-zero":     func() { k.SpMMColRange(nil, nil, 0, 0, 2) },
+			"Residual/shape":           func() { k.Residual(y, y, long) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s/%s: expected panic", k.Layout(), name)
+					}
+				}()
+				fn()
+			}()
+		}
+	}
+}
+
+// TestResidualAliasesQ: Residual may write r over q in place, and the
+// result equals the non-aliased call on every layout.
+func TestResidualAliasesQ(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m := randCSR(rng, 30, 30, 0.1)
+	x, q := randVec(rng, 30), randVec(rng, 30)
+	for _, lc := range layoutCases(t) {
+		k := lc.build(m)
+		want := make([]float64, 30)
+		k.Residual(want, q, x)
+		r := append([]float64(nil), q...)
+		k.Residual(r, r, x)
+		checkBits(t, lc.name+"/aliased Residual", r, want)
+	}
+}
+
+// TestResidualZeroAllocs: the refinement loop calls Residual once per
+// sweep, so it must not allocate on any layout.
+func TestResidualZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := randCSR(rng, 200, 200, 0.025)
+	x, q := randVec(rng, 200), randVec(rng, 200)
+	r := make([]float64, 200)
+	for _, lc := range layoutCases(t) {
+		k := lc.build(m)
+		if allocs := testing.AllocsPerRun(20, func() { k.Residual(r, q, x) }); allocs != 0 {
+			t.Fatalf("%s: Residual allocates %.1f times per call, want 0", lc.name, allocs)
+		}
+	}
+}
+
+// TestStatsCountOnePerCall: one call of any product on any layout raises
+// exactly one kernel.Stats counter, by one — its own layout's spmv or
+// spmm. SELL and Parallel run the csr loops without going through CSR's
+// counted methods, so bear_kernel_*_total reports calls, not the loops
+// behind them.
+func TestStatsCountOnePerCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	m := randCSR(rng, 64, 64, 0.1)
+	x, q, r := randVec(rng, 64), randVec(rng, 64), make([]float64, 64)
+	const nb = 2
+	xm, ym := randVec(rng, 64*nb), make([]float64, 64*nb)
+	snapshot := func() map[string][3]uint64 {
+		out := map[string][3]uint64{}
+		for _, l := range kernel.Layouts() {
+			sel, spmv, spmm := kernel.Stats(l)
+			out[l] = [3]uint64{sel, spmv, spmm}
+		}
+		return out
+	}
+	for _, lc := range layoutCases(t) {
+		k := lc.build(m)
+		for _, call := range []struct {
+			name    string
+			counter int // 1 = spmv, 2 = spmm
+			fn      func()
+		}{
+			{"SpMV", 1, func() { k.SpMV(r, x) }},
+			{"SpMVRange", 1, func() { k.SpMVRange(r, x, 8, 40) }},
+			{"SpMVColRange", 1, func() { k.SpMVColRange(r, x, 8, 40) }},
+			{"Residual", 1, func() { k.Residual(r, q, x) }},
+			{"SpMM", 2, func() { k.SpMM(ym, xm, nb) }},
+			{"SpMMRange", 2, func() { k.SpMMRange(ym, xm, nb, 8, 40) }},
+			{"SpMMColRange", 2, func() { k.SpMMColRange(ym, xm, nb, 8, 40) }},
+		} {
+			before := snapshot()
+			call.fn()
+			after := snapshot()
+			for _, l := range kernel.Layouts() {
+				for c := 0; c < 3; c++ {
+					want := before[l][c]
+					if l == k.Layout() && c == call.counter {
+						want++
+					}
+					if after[l][c] != want {
+						t.Errorf("%s/%s: Stats(%q)[%d] went %d -> %d, want %d",
+							lc.name, call.name, l, c, before[l][c], after[l][c], want)
+					}
 				}
 			}
 		}
@@ -225,7 +331,6 @@ func TestParseConfig(t *testing.T) {
 		"":         {},
 		"auto":     {},
 		"csr":      {Layout: kernel.ForceCSR},
-		"hybrid":   {Layout: kernel.ForceHybrid},
 		"sell":     {Layout: kernel.ForceSELL},
 		"parallel": {Workers: -1},
 	} {
@@ -237,15 +342,17 @@ func TestParseConfig(t *testing.T) {
 			t.Fatalf("ParseConfig(%q) = %+v, want %+v", spec, got, want)
 		}
 	}
-	if _, err := kernel.ParseConfig("blocked-nonsense"); err == nil {
-		t.Fatal("ParseConfig accepted an unknown spec")
+	for _, spec := range []string{"blocked-nonsense", "hybrid"} {
+		if _, err := kernel.ParseConfig(spec); err == nil {
+			t.Fatalf("ParseConfig accepted the unknown spec %q", spec)
+		}
 	}
 }
 
 // TestAutoSelection pins the heuristic: near-diagonal matrices (mean ≤ 2
 // entries per row, where SELL measures ~1.5× over CSR) pick SELL, denser
 // ones stay on CSR, small matrices never pay layout construction, and
-// the parallel wrapper engages only past the nnz floor.
+// the parallel layout engages only past the nnz floor.
 func TestAutoSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Near-diagonal: 1–2 entries per row, the spoke-factor shape of
@@ -269,13 +376,13 @@ func TestAutoSelection(t *testing.T) {
 	if got := kernel.New(tiny, kernel.Config{}).Layout(); got != "csr" {
 		t.Fatalf("tiny auto layout = %s, want csr", got)
 	}
-	if got := kernel.New(spoke, kernel.Config{Layout: kernel.ForceHybrid}).Layout(); got != "hybrid" {
-		t.Fatalf("forced layout = %s, want hybrid", got)
+	if got := kernel.New(spoke, kernel.Config{Layout: kernel.ForceSELL}).Layout(); got != "sell" {
+		t.Fatalf("forced layout = %s, want sell", got)
 	}
-	// spoke has ~4.8k entries — under the parallel floor, so no wrapper
-	// even with workers requested.
+	// spoke has ~4.8k entries — under the parallel floor, so the
+	// sequential layout stays even with workers requested.
 	if got := kernel.New(spoke, kernel.Config{Workers: 4}).Layout(); got == "parallel" {
-		t.Fatal("parallel wrapper engaged below the nnz floor")
+		t.Fatal("parallel layout engaged below the nnz floor")
 	}
 	big := randCSR(rng, 600, 600, 0.12)
 	if big.NNZ() < 1<<15 {

@@ -12,7 +12,6 @@ type Layout int
 const (
 	Auto Layout = iota
 	ForceCSR
-	ForceHybrid
 	ForceSELL
 )
 
@@ -20,29 +19,27 @@ const (
 type Config struct {
 	// Layout forces a specific storage layout; Auto applies the heuristic.
 	Layout Layout
-	// Workers wraps the chosen layout in the parallel row-partitioner when
+	// Workers selects the parallel row-partitioner instead of Layout when
 	// > 1 (or < 0 for GOMAXPROCS lanes) and the matrix is large enough to
 	// amortize the pool handoff. 0 and 1 stay sequential.
 	Workers int
 }
 
 // ParseConfig maps an -kernel / Options.Kernel spec to a Config. Accepted
-// specs: "" or "auto" (heuristic, sequential), "csr", "hybrid", "sell",
-// "parallel" (heuristic layout + GOMAXPROCS lanes).
+// specs: "" or "auto" (heuristic, sequential), "csr", "sell", "parallel"
+// (GOMAXPROCS lanes on large matrices, the heuristic on the rest).
 func ParseConfig(spec string) (Config, error) {
 	switch spec {
 	case "", "auto":
 		return Config{}, nil
 	case "csr":
 		return Config{Layout: ForceCSR}, nil
-	case "hybrid":
-		return Config{Layout: ForceHybrid}, nil
 	case "sell":
 		return Config{Layout: ForceSELL}, nil
 	case "parallel":
 		return Config{Workers: -1}, nil
 	default:
-		return Config{}, fmt.Errorf("kernel: unknown layout %q (want auto, csr, hybrid, sell or parallel)", spec)
+		return Config{}, fmt.Errorf("kernel: unknown layout %q (want auto, csr, sell or parallel)", spec)
 	}
 }
 
@@ -51,10 +48,7 @@ func ParseConfig(spec string) (Config, error) {
 // tiny — mean ≤ 2 stored entries per row, the near-diagonal spoke
 // factors of periphery-heavy graphs, where CSR's per-row loop overhead
 // dominates and SELL amortizes it across 8 rows — and loses (0.6–0.95×)
-// everywhere else. The dense-run hybrid measures at parity or below CSR
-// on every fixture under the min-of-batches protocol, so Auto never
-// picks it; it remains available by force for the sweep and for
-// machines where memory bandwidth, not instruction issue, bounds SpMV.
+// everywhere else.
 const (
 	autoMinRows        = 256
 	autoSELLMaxMeanRow = 2.0
@@ -63,21 +57,18 @@ const (
 // New builds the kernel view of m under cfg and records the choice in
 // the kernel selection counters.
 func New(m *sparse.CSR, cfg Config) Matrix {
-	k := pick(m, cfg.Layout)
-	statSelected(k.Layout())
+	var k Matrix
 	if w := cfg.Workers; (w > 1 || w < 0) && m.NNZ() >= minParallelNNZ {
-		k = NewParallel(k, m, w)
-		statSelected(layoutParallel)
+		k = NewParallel(m, w)
+	} else {
+		k = pick(m, cfg.Layout)
 	}
+	statSelected(k.Layout())
 	return k
 }
 
 func pick(m *sparse.CSR, layout Layout) Matrix {
 	switch layout {
-	case ForceHybrid:
-		if h := NewHybrid(m); h != nil {
-			return h
-		}
 	case ForceSELL:
 		if s := NewSELL(m); s != nil {
 			return s

@@ -15,14 +15,14 @@ const sellC = 8
 // into slices of 8, sorted by descending length within the slice, and
 // entries stored column-position-major so one pass over a slice advances
 // eight row accumulators together. Within a row, positions are visited in
-// ascending stored-column order — the baseline CSR order — so every mode
-// is bit-identical to Exact.
+// ascending stored-column order — the csr order — so results are
+// bit-identical to the csr layout.
 //
-// Only the full SpMV is served natively; ranged, column-windowed and
-// multi-RHS kernels delegate to the source CSR, whose row-addressed form
-// those access patterns need anyway.
+// Only the full SpMV is served natively; ranged, column-windowed,
+// multi-RHS and residual products run the csr loops over the source,
+// whose row-addressed form those access patterns need anyway.
 type SELL struct {
-	src      *sparse.CSR
+	src      *CSR
 	rowOrder []int32   // rows slice-by-slice, longest first within a slice
 	cntPtr   []int     // per slice: window into colCnt
 	colCnt   []int32   // per column position: rows still active
@@ -38,7 +38,7 @@ func NewSELL(m *sparse.CSR) *SELL {
 	}
 	numSlices := (m.R + sellC - 1) / sellC
 	k := &SELL{
-		src:      m,
+		src:      NewCSR(m),
 		rowOrder: make([]int32, m.R),
 		cntPtr:   make([]int, numSlices+1),
 		val:      make([]float64, 0, m.NNZ()),
@@ -80,11 +80,9 @@ func NewSELL(m *sparse.CSR) *SELL {
 	return k
 }
 
-func (k *SELL) Dims() (int, int) { return k.src.R, k.src.C }
-func (k *SELL) NNZ() int         { return k.src.NNZ() }
-func (k *SELL) Layout() string   { return layoutSELL }
+func (k *SELL) Layout() string { return layoutSELL }
 
-func (k *SELL) SpMV(y, x []float64, mode Mode) {
+func (k *SELL) SpMV(y, x []float64) {
 	statSpMV(layoutSELL)
 	cur := 0
 	for s := 0; s+1 < len(k.cntPtr); s++ {
@@ -120,32 +118,32 @@ func (k *SELL) SpMV(y, x []float64, mode Mode) {
 	}
 }
 
-func (k *SELL) SpMVRange(y, x []float64, lo, hi int, mode Mode) {
+func (k *SELL) SpMVRange(y, x []float64, lo, hi int) {
 	statSpMV(layoutSELL)
-	k.src.MulVecRangeTo(y, x, lo, hi)
+	k.src.spmvRange(y, x, lo, hi)
 }
 
-func (k *SELL) SpMVColRange(y, x []float64, lo, hi int, mode Mode) {
+func (k *SELL) SpMVColRange(y, x []float64, lo, hi int) {
 	statSpMV(layoutSELL)
-	k.src.MulVecColRangeTo(y, x, lo, hi)
+	k.src.spmvColRange(y, x, lo, hi)
 }
 
-func (k *SELL) SpMM(y, x []float64, nb int, mode Mode) {
+func (k *SELL) SpMM(y, x []float64, nb int) {
 	statSpMM(layoutSELL)
-	k.src.MulMultiTo(y, x, nb)
+	k.src.spmmRange(y, x, nb, 0, k.src.m.R)
 }
 
-func (k *SELL) SpMMRange(y, x []float64, nb, lo, hi int, mode Mode) {
+func (k *SELL) SpMMRange(y, x []float64, nb, lo, hi int) {
 	statSpMM(layoutSELL)
-	k.src.MulRangeMultiTo(y, x, nb, lo, hi)
+	k.src.spmmRange(y, x, nb, lo, hi)
 }
 
-func (k *SELL) SpMMColRange(y, x []float64, nb, lo, hi int, mode Mode) {
+func (k *SELL) SpMMColRange(y, x []float64, nb, lo, hi int) {
 	statSpMM(layoutSELL)
-	k.src.MulColRangeMultiTo(y, x, nb, lo, hi)
+	k.src.spmmColRange(y, x, nb, lo, hi)
 }
 
-func (k *SELL) Residual(r, q, x []float64, mode Mode) {
+func (k *SELL) Residual(r, q, x []float64) {
 	statSpMV(layoutSELL)
-	sparse.ResidualTo(r, q, k.src, x)
+	k.src.residual(r, q, x)
 }

@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // MulVec computes y = A x and returns y as a new slice.
@@ -54,57 +53,6 @@ func (m *CSC) MulVecTo(y, x []float64) {
 		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
 			y[m.RowIdx[k]] += m.Val[k] * xj
 		}
-	}
-}
-
-// MulVecRangeTo computes rows [lo, hi) of y = A x, writing only y[lo:hi]
-// and leaving the rest of y untouched. It is the row-restricted kernel the
-// BEAR single-seed fast path uses on block-diagonal factors: when x is
-// supported on one diagonal block, only that block's rows of the product
-// can be nonzero (Lemma 1 of the paper), so the remaining rows need not be
-// computed at all. For the rows it does compute, the accumulation order is
-// identical to MulVecTo, so the written entries are bit-identical.
-func (m *CSR) MulVecRangeTo(y, x []float64, lo, hi int) {
-	if len(x) != m.C || len(y) != m.R {
-		panic(fmt.Sprintf("sparse: MulVecRangeTo shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d", m.R, m.C, len(x), len(y)))
-	}
-	if lo < 0 || hi > m.R || lo > hi {
-		panic(fmt.Sprintf("sparse: MulVecRangeTo rows [%d,%d) out of %d", lo, hi, m.R))
-	}
-	for i := lo; i < hi; i++ {
-		var s float64
-		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-		val := m.Val[ks:ke]
-		col := m.ColIdx[ks:ke:ke]
-		for j, v := range val {
-			s += v * x[col[j]]
-		}
-		y[i] = s
-	}
-}
-
-// MulVecColRangeTo computes y = A[:, lo:hi] · x[lo:hi]: every row of y is
-// written, but each row's accumulation visits only the stored entries whose
-// column index falls in [lo, hi), located by binary search within the
-// row's sorted column indices. When x is exactly zero outside [lo, hi) the
-// nonzero terms and their order match MulVecTo, so any entry that MulVecTo
-// would compute as nonzero is bit-identical (skipped ±0 terms can at most
-// flip the sign of an exact zero).
-func (m *CSR) MulVecColRangeTo(y, x []float64, lo, hi int) {
-	if len(x) != m.C || len(y) != m.R {
-		panic(fmt.Sprintf("sparse: MulVecColRangeTo shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d", m.R, m.C, len(x), len(y)))
-	}
-	if lo < 0 || hi > m.C || lo > hi {
-		panic(fmt.Sprintf("sparse: MulVecColRangeTo cols [%d,%d) out of %d", lo, hi, m.C))
-	}
-	for i := 0; i < m.R; i++ {
-		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-		k := ks + sort.SearchInts(m.ColIdx[ks:ke], lo)
-		var s float64
-		for ; k < ke && m.ColIdx[k] < hi; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
-		}
-		y[i] = s
 	}
 }
 

@@ -39,78 +39,6 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulVecRangeTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 30; trial++ {
-		r, c := 1+rng.Intn(20), 1+rng.Intn(20)
-		m := randomCSR(rng, r, c, 0.3)
-		x := randomVec(rng, c)
-		lo := rng.Intn(r + 1)
-		hi := lo + rng.Intn(r-lo+1)
-		full := m.MulVec(x)
-		got := make([]float64, r)
-		sentinel := math.Inf(1)
-		for i := range got {
-			got[i] = sentinel
-		}
-		m.MulVecRangeTo(got, x, lo, hi)
-		for i := 0; i < r; i++ {
-			if i >= lo && i < hi {
-				if got[i] != full[i] {
-					t.Fatalf("row %d: %g, want %g (bit-identical)", i, got[i], full[i])
-				}
-			} else if got[i] != sentinel {
-				t.Fatalf("row %d outside [%d,%d) was written", i, lo, hi)
-			}
-		}
-	}
-}
-
-func TestMulVecColRangeTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
-		r, c := 1+rng.Intn(20), 1+rng.Intn(20)
-		m := randomCSR(rng, r, c, 0.3)
-		lo := rng.Intn(c + 1)
-		hi := lo + rng.Intn(c-lo+1)
-		// x supported only on [lo, hi): the restricted product must then be
-		// bit-identical to the full one wherever the full one is nonzero.
-		x := make([]float64, c)
-		for j := lo; j < hi; j++ {
-			x[j] = rng.NormFloat64()
-		}
-		full := m.MulVec(x)
-		got := make([]float64, r)
-		m.MulVecColRangeTo(got, x, lo, hi)
-		for i := 0; i < r; i++ {
-			if got[i] != full[i] {
-				t.Fatalf("row %d: %g, want %g", i, got[i], full[i])
-			}
-		}
-	}
-}
-
-func TestMulVecRangePanics(t *testing.T) {
-	m := Identity(3)
-	x := []float64{1, 2, 3}
-	y := make([]float64, 3)
-	for name, fn := range map[string]func(){
-		"row-range":    func() { m.MulVecRangeTo(y, x, 2, 4) },
-		"row-reversed": func() { m.MulVecRangeTo(y, x, 2, 1) },
-		"col-range":    func() { m.MulVecColRangeTo(y, x, -1, 2) },
-		"col-shape":    func() { m.MulVecColRangeTo(y, x[:2], 0, 2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestMulVecT(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {

@@ -138,42 +138,6 @@ func (s *Server) cachedSolve(ctx context.Context, e *entry, hash uint64, solve f
 	return v.(*answer), "miss", nil
 }
 
-// Stats is the server-wide operational snapshot served at GET /v1/stats.
-//
-// Deprecated: prefer scraping GET /metrics, which carries these counters
-// and much more in Prometheus format. The endpoint is kept for scripted
-// consumers and reads through the same metric registry, so the two views
-// can never disagree.
-type Stats struct {
-	Graphs int               `json:"graphs"`
-	Cache  resultcache.Stats `json:"cache"`
-}
-
-// Stats reports the registry size and cache counters. The values are read
-// back through the obsv registry series (bear_graphs, bear_cache_*) rather
-// than straight from the cache, so /v1/stats is by construction a subset
-// of what GET /metrics exposes.
-func (s *Server) Stats() Stats {
-	m := s.metrics()
-	return Stats{
-		Graphs: int(m.graphs.Value()),
-		Cache: resultcache.Stats{
-			Hits:      m.cacheHits.Value(),
-			Misses:    m.cacheMisses.Value(),
-			Coalesced: m.cacheCoalesced.Value(),
-			Evictions: m.cacheEvictions.Value(),
-			Expired:   m.cacheExpired.Value(),
-			Entries:   int(m.cacheEntries.Value()),
-			Bytes:     int64(m.cacheBytes.Value()),
-			MaxBytes:  int64(m.cacheMaxBytes.Value()),
-		},
-	}
-}
-
-func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
 // maxBatchSeeds bounds one batch request; larger batches should be split
 // by the client so admission control and timeouts stay meaningful.
 const maxBatchSeeds = 1024

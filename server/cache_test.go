@@ -104,22 +104,32 @@ func TestCacheDisabledStillServes(t *testing.T) {
 	}
 }
 
-func TestStatsEndpoint(t *testing.T) {
+// TestCacheCountersInMetrics: the registry size and the result-cache
+// counters are served on /metrics, and /metrics is the only server-wide
+// stats view (GET /v1/stats is not routed).
+func TestCacheCountersInMetrics(t *testing.T) {
 	_, ts := newTestServer(t)
 	base := ts.URL + "/v1/graphs"
 	doJSON(t, "PUT", base+"/g", edgeListBody(), http.StatusCreated)
 	doJSON(t, "GET", base+"/g/query?seed=1", "", http.StatusOK)
 	doJSON(t, "GET", base+"/g/query?seed=1", "", http.StatusOK)
-	out := doJSON(t, "GET", ts.URL+"/v1/stats", "", http.StatusOK)
-	if out["graphs"].(float64) != 1 {
-		t.Fatalf("stats graphs = %v", out["graphs"])
+	body := scrape(t, ts.URL)
+	if got := metricValue(t, body, "bear_graphs"); got != 1 {
+		t.Fatalf("bear_graphs = %v, want 1", got)
 	}
-	cache := out["cache"].(map[string]interface{})
-	if cache["hits"].(float64) < 1 || cache["misses"].(float64) < 1 {
-		t.Fatalf("stats cache = %v", cache)
+	if hits, misses := metricValue(t, body, "bear_cache_hits_total"), metricValue(t, body, "bear_cache_misses_total"); hits < 1 || misses < 1 {
+		t.Fatalf("cache hits = %v, misses = %v; want both >= 1", hits, misses)
 	}
-	if cache["entries"].(float64) < 1 || cache["bytes"].(float64) <= 0 {
-		t.Fatalf("stats cache sizes = %v", cache)
+	if entries, bytes := metricValue(t, body, "bear_cache_entries"), metricValue(t, body, "bear_cache_bytes"); entries < 1 || bytes <= 0 {
+		t.Fatalf("cache entries = %v, bytes = %v", entries, bytes)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats: status %d, want 404 (the endpoint was removed)", resp.StatusCode)
 	}
 }
 
@@ -318,13 +328,13 @@ func TestCachedAnswerBytesIndependentOfN(t *testing.T) {
 	}
 	var grown [2][]int64
 	for i, body := range []string{edgeListBody(), large.String()} {
-		s, ts := newTestServer(t)
+		_, ts := newTestServer(t)
 		base := ts.URL + "/v1/graphs/g"
 		doJSON(t, "PUT", base, body, http.StatusCreated)
-		prev := s.Stats().Cache.Bytes
+		prev := int64(metricValue(t, scrape(t, ts.URL), "bear_cache_bytes"))
 		for _, r := range reqs {
 			doJSON(t, r.method, base+r.path, r.body, http.StatusOK)
-			now := s.Stats().Cache.Bytes
+			now := int64(metricValue(t, scrape(t, ts.URL), "bear_cache_bytes"))
 			grown[i] = append(grown[i], now-prev)
 			prev = now
 		}

@@ -24,8 +24,7 @@ import (
 //     its own lock during a scrape.
 //   - Subsystems that already count (the result cache, the singleflight
 //     coalescer, Dynamic) are exported through Func metrics reading the
-//     live object, never copied into parallel counters — so /metrics and
-//     /v1/stats can never disagree (Stats reads through the same series).
+//     live object, never copied into parallel counters.
 
 // serverMetrics bundles the registry and the pre-resolved series the hot
 // path updates.
@@ -42,16 +41,6 @@ type serverMetrics struct {
 
 	topkPruned         *obsv.Counter
 	candidatesRequests *obsv.Counter
-
-	cacheHits      *obsv.FuncCounter
-	cacheMisses    *obsv.FuncCounter
-	cacheCoalesced *obsv.FuncCounter
-	cacheEvictions *obsv.FuncCounter
-	cacheExpired   *obsv.FuncCounter
-	cacheEntries   *obsv.FuncGauge
-	cacheBytes     *obsv.FuncGauge
-	cacheMaxBytes  *obsv.FuncGauge
-	graphs         *obsv.FuncGauge
 
 	mu        sync.Mutex
 	endpoints map[string]*endpointMetrics
@@ -98,24 +87,24 @@ func (s *Server) metrics() *serverMetrics {
 			"Link-prediction candidate requests served (POST /candidates), counted before validation.")
 
 		cacheStats := func() resultcache.Stats { return s.resultCache().Stats() }
-		m.cacheHits = reg.CounterFunc("bear_cache_hits_total",
+		reg.CounterFunc("bear_cache_hits_total",
 			"Result-cache hits.", func() uint64 { return cacheStats().Hits })
-		m.cacheMisses = reg.CounterFunc("bear_cache_misses_total",
+		reg.CounterFunc("bear_cache_misses_total",
 			"Result-cache misses (a solve ran).", func() uint64 { return cacheStats().Misses })
-		m.cacheCoalesced = reg.CounterFunc("bear_cache_coalesced_total",
+		reg.CounterFunc("bear_cache_coalesced_total",
 			"Requests that shared another in-flight identical solve.", func() uint64 { return s.flight.Coalesced() })
-		m.cacheEvictions = reg.CounterFunc("bear_cache_evictions_total",
+		reg.CounterFunc("bear_cache_evictions_total",
 			"Result-cache LRU evictions.", func() uint64 { return cacheStats().Evictions })
-		m.cacheExpired = reg.CounterFunc("bear_cache_expired_total",
+		reg.CounterFunc("bear_cache_expired_total",
 			"Result-cache TTL expirations.", func() uint64 { return cacheStats().Expired })
-		m.cacheEntries = reg.GaugeFunc("bear_cache_entries",
+		reg.GaugeFunc("bear_cache_entries",
 			"Result-cache resident entries.", func() float64 { return float64(cacheStats().Entries) })
-		m.cacheBytes = reg.GaugeFunc("bear_cache_bytes",
+		reg.GaugeFunc("bear_cache_bytes",
 			"Result-cache resident bytes.", func() float64 { return float64(cacheStats().Bytes) })
-		m.cacheMaxBytes = reg.GaugeFunc("bear_cache_max_bytes",
+		reg.GaugeFunc("bear_cache_max_bytes",
 			"Result-cache byte budget.", func() float64 { return float64(cacheStats().MaxBytes) })
 
-		m.graphs = reg.GaugeFunc("bear_graphs", "Graphs currently registered.", func() float64 {
+		reg.GaugeFunc("bear_graphs", "Graphs currently registered.", func() float64 {
 			s.mu.RLock()
 			n := len(s.graphs)
 			s.mu.RUnlock()

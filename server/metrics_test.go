@@ -123,33 +123,6 @@ func TestMetricsDisabled(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/healthz", "", http.StatusOK)
 }
 
-// TestStatsAgreesWithMetrics: /v1/stats is re-backed by the metric
-// registry, so its counters must equal the scraped series verbatim.
-func TestStatsAgreesWithMetrics(t *testing.T) {
-	s, ts := newTestServer(t)
-	base := ts.URL + "/v1/graphs"
-	doJSON(t, "PUT", base+"/g", edgeListBody(), http.StatusCreated)
-	for i := 0; i < 3; i++ {
-		doJSON(t, "GET", base+"/g/query?seed=1", "", http.StatusOK)
-	}
-	doJSON(t, "GET", base+"/g/query?seed=2", "", http.StatusOK)
-
-	st := s.Stats()
-	body := scrape(t, ts.URL)
-	for series, got := range map[string]uint64{
-		"bear_cache_hits_total":   st.Cache.Hits,
-		"bear_cache_misses_total": st.Cache.Misses,
-	} {
-		want := metricValue(t, body, series)
-		if float64(got) != want {
-			t.Errorf("%s: /v1/stats says %d, /metrics says %v", series, got, want)
-		}
-	}
-	if got, want := float64(st.Graphs), metricValue(t, body, "bear_graphs"); got != want {
-		t.Errorf("graphs: /v1/stats says %v, /metrics says %v", got, want)
-	}
-}
-
 // metricValue extracts one unlabeled sample value from a scrape body.
 func metricValue(t *testing.T, body, name string) float64 {
 	t.Helper()
@@ -294,7 +267,8 @@ func TestSnapshotRestoreKeepsGraphSeries(t *testing.T) {
 
 // TestOrderingSelectionAndMetrics: the PUT ?ordering= override must be
 // reflected in the graph info and in the bear_ordering_selected gauge
-// family — exactly one engine at 1 per graph; an unknown name is a 400.
+// family — exactly one engine at 1 per graph; an unknown name is a 400,
+// as are the removed nd engine and hybrid kernel layout.
 func TestOrderingSelectionAndMetrics(t *testing.T) {
 	s := New()
 	s.DefaultOrdering = "" // slashburn
@@ -303,6 +277,8 @@ func TestOrderingSelectionAndMetrics(t *testing.T) {
 	doJSON(t, "PUT", base+"/md?ordering=mindeg", edgeListBody(), http.StatusCreated)
 	doJSON(t, "PUT", base+"/def", edgeListBody(), http.StatusCreated)
 	doJSON(t, "PUT", base+"/bad?ordering=no-such-engine", edgeListBody(), http.StatusBadRequest)
+	doJSON(t, "PUT", base+"/bad?ordering=nd", edgeListBody(), http.StatusBadRequest)
+	doJSON(t, "PUT", base+"/bad?kernel=hybrid", edgeListBody(), http.StatusBadRequest)
 
 	info := doJSON(t, "GET", base+"/md", "", http.StatusOK)
 	if got := info["ordering"]; got != "mindeg" {

@@ -101,14 +101,15 @@ type Server struct {
 
 	// DefaultKernel is the query-kernel layout spec applied to graphs
 	// registered over the API without an explicit ?kernel= choice: "" or
-	// "auto" (per-matrix heuristic), "csr", "hybrid", "sell", "parallel".
+	// "auto" (SELL-C-σ for matrices of at least 256 rows with at most 2
+	// stored entries per row, CSR otherwise), "csr", "sell", "parallel".
 	// Set from the bearserve -kernel flag; see internal/sparse/kernel.
 	DefaultKernel string
 
 	// DefaultOrdering is the reordering engine applied to graphs
 	// registered over the API without an explicit ?ordering= choice: ""
-	// or "slashburn" (the paper's), "mindeg", "nd". Set from the
-	// bearserve -ordering flag; see internal/ordering.
+	// or "slashburn" (the paper's), "mindeg". Set from the bearserve
+	// -ordering flag; see internal/ordering.
 	DefaultOrdering string
 
 	sem         chan struct{}
@@ -168,7 +169,6 @@ func New() *Server {
 //	POST   /v1/graphs/{name}/edges    (body: {"op":"add","u":1,"v":2,"w":1})
 //	POST   /v1/graphs/{name}/rebuild  (?async=1 for a non-blocking rebuild)
 //	POST   /v1/snapshot               (persist the registry to SnapshotPath)
-//	GET    /v1/stats                  (registry size + result-cache counters)
 //	GET    /metrics                   (Prometheus text format; EnableMetrics)
 //
 // Read endpoints answer through the epoch-keyed result cache and set an
@@ -201,7 +201,6 @@ func (s *Server) Handler() http.Handler {
 	api.HandleFunc("POST /v1/graphs/{name}/edges", s.instrument("edges", s.handleEdges))
 	api.HandleFunc("POST /v1/graphs/{name}/rebuild", s.instrument("rebuild", s.handleRebuild))
 	api.HandleFunc("POST /v1/snapshot", s.instrument("snapshot", s.handleSnapshot))
-	api.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleServerStats))
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -204,43 +204,8 @@ func TestKernelLayoutsMatchBaseline(t *testing.T) {
 	}
 }
 
-// TestKernelPanicsOnBadArguments locks in the argument contract of the
-// products that run the csr loops: mismatched shapes, row or column
-// windows outside the matrix or reversed, and non-positive RHS counts all
-// panic on every layout. The shape cases pass an x one entry too long, so
-// only the explicit check can catch them. Parallel runs at one lane,
-// where the partition runs on the calling goroutine and its panic can be
-// recovered.
-func TestKernelPanicsOnBadArguments(t *testing.T) {
-	m := sparse.Identity(3)
-	x, y, long := make([]float64, 3), make([]float64, 3), make([]float64, 4)
-	xm, ym := make([]float64, 6), make([]float64, 6)
-	for _, k := range []kernel.Matrix{kernel.NewCSR(m), kernel.NewSELL(m), kernel.NewParallel(m, 1)} {
-		for name, fn := range map[string]func(){
-			"SpMVRange/rows-past-end":  func() { k.SpMVRange(y, x, 2, 4) },
-			"SpMVRange/rows-reversed":  func() { k.SpMVRange(y, x, 2, 1) },
-			"SpMVRange/shape":          func() { k.SpMVRange(y, long, 0, 3) },
-			"SpMVColRange/cols-before": func() { k.SpMVColRange(y, x, -1, 2) },
-			"SpMVColRange/shape":       func() { k.SpMVColRange(y, long, 0, 3) },
-			"SpMM/nb-zero":             func() { k.SpMM(nil, nil, 0) },
-			"SpMM/shape":               func() { k.SpMM(ym, append(xm, 0), 2) },
-			"SpMMRange/rows-past-end":  func() { k.SpMMRange(ym, xm, 2, 1, 4) },
-			"SpMMRange/nb-zero":        func() { k.SpMMRange(nil, nil, 0, 0, 1) },
-			"SpMMColRange/cols-before": func() { k.SpMMColRange(ym, xm, 2, -1, 2) },
-			"SpMMColRange/nb-zero":     func() { k.SpMMColRange(nil, nil, 0, 0, 2) },
-			"Residual/shape":           func() { k.Residual(y, y, long) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s/%s: expected panic", k.Layout(), name)
-					}
-				}()
-				fn()
-			}()
-		}
-	}
-}
+// The argument contract of these products (shape, window and nb panics
+// on every layout) is pinned by the panic tests in package sparse.
 
 // TestResidualAliasesQ: Residual may write r over q in place, and the
 // result equals the non-aliased call on every layout.

@@ -41,12 +41,13 @@ import (
 // is empty: the paper's SlashBurn.
 const DefaultOrdering = ordering.Default
 
-// Orderings lists the registered reordering engines, sorted — valid values
+// Orderings lists the reordering engines, sorted — valid values
 // for Options.Ordering, the bearserve -ordering flag, and ?ordering=.
 func Orderings() []string { return ordering.Names() }
 
 // NormalizeOrdering maps the empty ordering name to DefaultOrdering and
-// leaves every other name unchanged; it does not check registration.
+// leaves every other name unchanged; it does not check that the engine
+// exists.
 func NormalizeOrdering(name string) string { return ordering.Normalize(name) }
 
 // Graph is a directed weighted graph over nodes 0..N-1. Construct one with
@@ -64,17 +65,19 @@ type Options = core.Options
 // Precomputed holds BEAR's preprocessed matrices and answers queries. It
 // is safe for concurrent use by multiple goroutines.
 //
-// The query methods come in two flavors: Query/QueryDist allocate the
-// result vector, while QueryTo/QueryDistTo write into caller-owned memory
-// and — combined with a reused Workspace — run allocation-free, which is
-// what the serving hot path uses. Single-seed queries additionally take a
-// block-restricted fast path (bit-identical to the general one) that
-// confines the forward half of Algorithm 2 to the seed's diagonal block.
+// Each query shape has one method that takes a context and writes into
+// caller-owned memory — QueryToCtx, QueryDistToCtx, QueryBatchToCtx,
+// QueryRefinedCtx — and combined with a reused Workspace runs
+// allocation-free, which is what the serving hot path uses. Query,
+// QueryDist, QueryBatch and QueryRefined are the allocating convenience
+// forms. Single-seed queries additionally take a block-restricted path
+// (bit-identical to the unrestricted one) that confines the forward half
+// of Algorithm 2 to the seed's diagonal block.
 type Precomputed = core.Precomputed
 
 // Workspace holds the scratch vectors one BEAR solve needs. Acquire one
-// per goroutine from Precomputed.AcquireWorkspace, pass it to QueryTo /
-// QueryDistTo for zero-allocation queries, and return it with
+// per goroutine from Precomputed.AcquireWorkspace, pass it to QueryToCtx /
+// QueryDistToCtx for zero-allocation queries, and return it with
 // ReleaseWorkspace.
 type Workspace = core.Workspace
 

@@ -6,6 +6,7 @@
 package bear_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -380,13 +381,14 @@ func BenchmarkQueryThroughput(b *testing.B) {
 		// The steady-state serving pattern: caller-owned result vector
 		// plus a pooled workspace. This is the configuration that must
 		// show zero allocations per query.
+		ctx := context.Background()
 		dst := make([]float64, g.N())
 		ws := p.AcquireWorkspace()
 		defer p.ReleaseWorkspace(ws)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := p.QueryTo(dst, i%g.N(), ws); err != nil {
+			if err := p.QueryToCtx(ctx, dst, i%g.N(), ws); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -42,7 +42,6 @@ func kernelSweepLayouts(m *sparse.CSR) []kernel.Matrix {
 	if s := kernel.NewSELL(m); s != nil {
 		ks = append(ks, s)
 	}
-	ks = append(ks, kernel.NewParallel(m, 0))
 	return ks
 }
 

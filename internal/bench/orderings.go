@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,7 +52,7 @@ type OrderingBaseline struct {
 // baseline first, so measurement loops can divide by index 0.
 func orderingSweepEngines() []string {
 	out := []string{ordering.Default}
-	for _, name := range ordering.Builtin() {
+	for _, name := range ordering.Names() {
 		if name != ordering.Default {
 			out = append(out, name)
 		}
@@ -63,11 +64,12 @@ func orderingSweepEngines() []string {
 // preprocessed index with the interleaved min-of-batches protocol of
 // measureLayoutsNs: batch size calibrated to ~2ms on the first index
 // (the SlashBurn baseline), indexes timed round-robin one batch per
-// round, best batch each. One op is one QueryTo over the shared seed
+// round, best batch each. One op is one QueryToCtx over the shared seed
 // set, reusing a workspace so the measurement is allocation-free.
 func measureOrderingQueriesNs(ps []*core.Precomputed, seeds []int) ([]float64, error) {
 	const batchTarget = 2 * time.Millisecond
 	const rounds = 9
+	ctx := context.Background()
 	dst := make([]float64, ps[0].N)
 	wss := make([]*core.Workspace, len(ps))
 	for i, p := range ps {
@@ -75,7 +77,7 @@ func measureOrderingQueriesNs(ps []*core.Precomputed, seeds []int) ([]float64, e
 		defer p.ReleaseWorkspace(wss[i])
 		// Warm pass: surfaces errors once so the timed loops can ignore them.
 		for _, s := range seeds {
-			if err := p.QueryTo(dst, s, wss[i]); err != nil {
+			if err := p.QueryToCtx(ctx, dst, s, wss[i]); err != nil {
 				return nil, fmt.Errorf("bench: ordering query seed %d: %w", s, err)
 			}
 		}
@@ -85,7 +87,7 @@ func measureOrderingQueriesNs(ps []*core.Precomputed, seeds []int) ([]float64, e
 		start := time.Now()
 		for r := 0; r < reps; r++ {
 			for _, s := range seeds {
-				ps[0].QueryTo(dst, s, wss[0])
+				ps[0].QueryToCtx(ctx, dst, s, wss[0])
 			}
 		}
 		if time.Since(start) >= batchTarget {
@@ -102,7 +104,7 @@ func measureOrderingQueriesNs(ps []*core.Precomputed, seeds []int) ([]float64, e
 			start := time.Now()
 			for r := 0; r < reps; r++ {
 				for _, s := range seeds {
-					p.QueryTo(dst, s, wss[i])
+					p.QueryToCtx(ctx, dst, s, wss[i])
 				}
 			}
 			if ns := float64(time.Since(start).Nanoseconds()) / float64(reps*len(seeds)); ns < best[i] {

@@ -4,28 +4,15 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 )
 
 // QueryBatch computes RWR vectors for many seeds, fanning blocked
 // multi-RHS chunks out over workers goroutines (0 selects GOMAXPROCS).
 // Results are indexed like seeds and bit-identical to Query on each seed.
-// Precomputed is read-only during queries, so the workers share it without
-// locking; each worker holds one BatchWorkspace for its whole share of the
-// batch, so the only per-query allocation is the result vector.
+// It allocates the results and calls QueryBatchToCtx.
 func (p *Precomputed) QueryBatch(seeds []int, workers int) ([][]float64, error) {
-	return p.QueryBatchCtx(context.Background(), seeds, workers)
-}
-
-// QueryBatchCtx is QueryBatch honoring cancellation and deadlines on ctx:
-// cancellation is observed between chunk solves (and between the
-// block-solve stages inside each), undone work is abandoned, and the first
-// context error is returned.
-//
-// Seeds are reordered internally so that seeds sharing a diagonal block
-// land in the same multi-RHS chunk (see QueryBatchTo); the returned slice
-// is still indexed like seeds.
-func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int, workers int) ([][]float64, error) {
 	for _, s := range seeds {
 		if s < 0 || s >= p.N {
 			return nil, fmt.Errorf("core: seed %d out of range [0,%d)", s, p.N)
@@ -35,19 +22,23 @@ func (p *Precomputed) QueryBatchCtx(ctx context.Context, seeds []int, workers in
 	for i := range out {
 		out[i] = make([]float64, p.N)
 	}
-	if err := p.queryBatchTo(ctx, out, seeds, workers, nil); err != nil {
+	if err := p.QueryBatchToCtx(context.Background(), out, seeds, workers); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// queryBatchTo is the one blocked batch solve behind QueryBatchCtx,
-// QueryBatchTo and Dynamic.QueryBatchToCtx: it validates dst against
-// seeds, groups same-block seeds into chunks of the batch width, and
-// solves the chunks on up to workers goroutines (0 selects GOMAXPROCS),
-// each holding one BatchWorkspace for its whole share. A single worker
-// uses bw, or a pooled workspace when bw is nil.
-func (p *Precomputed) queryBatchTo(ctx context.Context, dst [][]float64, seeds []int, workers int, bw *BatchWorkspace) error {
+// QueryBatchToCtx computes RWR vectors for many seeds into caller-owned
+// dst (indexed like seeds, each vector of length N), honoring
+// cancellation and deadlines on ctx. Seeds sharing a diagonal block are
+// grouped into chunks of the batch width; each chunk is one blocked
+// solve (one factor traversal per stage for the whole chunk), and chunks
+// fan out over workers goroutines (0 selects GOMAXPROCS), each holding one
+// workspace for its whole share. Precomputed is read-only during queries,
+// so the workers share it without locking. Cancellation is observed
+// between chunks and between the stages inside each; undone work is
+// abandoned and the first context error returned.
+func (p *Precomputed) QueryBatchToCtx(ctx context.Context, dst [][]float64, seeds []int, workers int) error {
 	if len(dst) != len(seeds) {
 		return fmt.Errorf("core: %d destinations for %d seeds", len(dst), len(seeds))
 	}
@@ -63,9 +54,11 @@ func (p *Precomputed) queryBatchTo(ctx context.Context, dst [][]float64, seeds [
 		return nil
 	}
 
-	// Group same-block seeds into chunks of the batch width; each chunk is
-	// one independent blocked solve, so chunks parallelize cleanly.
 	order := p.seedOrder(seeds)
+	pos := make([]int, len(order))
+	for i, ii := range order {
+		pos[i] = p.Perm[seeds[ii]]
+	}
 	nb := p.batchWidth()
 	nchunks := (len(order) + nb - 1) / nb
 	if workers <= 0 {
@@ -74,18 +67,17 @@ func (p *Precomputed) queryBatchTo(ctx context.Context, dst [][]float64, seeds [
 	if workers > nchunks {
 		workers = nchunks
 	}
+	chunk := func(start int, ws *Workspace) error {
+		end := min(start+nb, len(order))
+		p.loadSeeds(ws, pos[start:end], 1)
+		return p.solveLoaded(ctx, ws, pos[start:end], dst, order[start:end], p.C)
+	}
 
 	if workers <= 1 {
-		if bw == nil {
-			bw = p.AcquireBatchWorkspace()
-			defer p.ReleaseBatchWorkspace(bw)
-		}
+		ws := p.acquireWorkspace(nb)
+		defer p.ReleaseWorkspace(ws)
 		for start := 0; start < len(order); start += nb {
-			end := start + nb
-			if end > len(order) {
-				end = len(order)
-			}
-			if err := p.queryChunkTo(ctx, dst, seeds, order[start:end], bw); err != nil {
+			if err := chunk(start, ws); err != nil {
 				return err
 			}
 		}
@@ -102,14 +94,10 @@ func (p *Precomputed) queryBatchTo(ctx context.Context, dst [][]float64, seeds [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bw := p.AcquireBatchWorkspace()
-			defer p.ReleaseBatchWorkspace(bw)
+			ws := p.acquireWorkspace(nb)
+			defer p.ReleaseWorkspace(ws)
 			for start := range next {
-				end := start + nb
-				if end > len(order) {
-					end = len(order)
-				}
-				if err := p.queryChunkTo(ctx, dst, seeds, order[start:end], bw); err != nil {
+				if err := chunk(start, ws); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -133,4 +121,24 @@ feed:
 		return err
 	}
 	return firstErr
+}
+
+// seedOrder returns the batch indices reordered so seeds sharing a
+// diagonal block are adjacent (hubs last), with original order preserved
+// within each group. Chunks sliced from this order then consist of a few
+// same-block runs, each serviced by one block-restricted forward pass.
+func (p *Precomputed) seedOrder(seeds []int) []int {
+	order := make([]int, len(seeds))
+	for i := range order {
+		order[i] = i
+	}
+	key := func(i int) int { return p.blockKey(p.Perm[seeds[i]]) }
+	sort.Slice(order, func(a, b int) bool {
+		ka, kb := key(order[a]), key(order[b])
+		if ka != kb {
+			return ka < kb
+		}
+		return order[a] < order[b]
+	})
+	return order
 }

@@ -33,22 +33,47 @@ func TestQueryBatchBitIdenticalAcrossVariants(t *testing.T) {
 				// Duplicates and reversed order: repeated seeds must solve
 				// independently, and chunk grouping must not depend on the
 				// caller's seed order.
-				seeds := append(append([]int(nil), base...), base[0])
+				mixed := append(append([]int(nil), base...), base[0])
 				for i := len(base) - 1; i >= 0; i-- {
-					seeds = append(seeds, base[i])
+					mixed = append(mixed, base[i])
 				}
-				for _, workers := range []int{1, 3} {
-					batch, err := p.QueryBatch(seeds, workers)
-					if err != nil {
-						t.Fatalf("QueryBatch(workers=%d): %v", workers, err)
+				// Seeds that all lie in one block make a single run as wide
+				// as the chunk, which the forward stage solves in place; a
+				// hubs-only batch skips the forward products entirely.
+				largest := 0
+				for bi, sz := range p.Blocks {
+					if sz > p.Blocks[largest] {
+						largest = bi
 					}
-					for i, seed := range seeds {
-						want, err := p.Query(seed)
+				}
+				var oneBlock, hubs []int
+				for node := 0; node < p.N; node++ {
+					if p.IsHub(node) {
+						hubs = append(hubs, node)
+					} else if p.BlockOf(node) == largest {
+						oneBlock = append(oneBlock, node)
+					}
+				}
+				for _, in := range []struct {
+					name  string
+					seeds []int
+				}{{"mixed", mixed}, {"one-block", oneBlock}, {"hubs", hubs}} {
+					if len(in.seeds) == 0 {
+						continue
+					}
+					for _, workers := range []int{1, 3} {
+						batch, err := p.QueryBatch(in.seeds, workers)
 						if err != nil {
-							t.Fatalf("Query(%d): %v", seed, err)
+							t.Fatalf("%s: QueryBatch(workers=%d): %v", in.name, workers, err)
 						}
-						assertBitIdentical(t, batch[i], want,
-							fmt.Sprintf("workers=%d batch[%d] (seed %d)", workers, i, seed))
+						for i, seed := range in.seeds {
+							want, err := p.Query(seed)
+							if err != nil {
+								t.Fatalf("Query(%d): %v", seed, err)
+							}
+							assertBitIdentical(t, batch[i], want,
+								fmt.Sprintf("%s workers=%d batch[%d] (seed %d)", in.name, workers, i, seed))
+						}
 					}
 				}
 			})
@@ -56,17 +81,16 @@ func TestQueryBatchBitIdenticalAcrossVariants(t *testing.T) {
 	}
 }
 
-// TestQueryBatchToReusesWorkspace drives QueryBatchTo directly with a
-// caller-held workspace across several batches, including widths above and
-// below the chunk size, and checks the contract errors.
+// TestQueryBatchToReusesWorkspace drives QueryBatchToCtx on one worker
+// (one pooled workspace per call) across several batches, including
+// widths above and below the chunk size, and checks the contract errors.
 func TestQueryBatchToReusesWorkspace(t *testing.T) {
 	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 10, Size: 18, PIntra: 0.3, Hubs: 5, HubDeg: 20, Seed: 96})
 	p, err := Preprocess(g, Options{K: 4})
 	if err != nil {
 		t.Fatalf("Preprocess: %v", err)
 	}
-	bw := p.AcquireBatchWorkspace()
-	defer p.ReleaseBatchWorkspace(bw)
+	ctx := context.Background()
 	for trial, seeds := range [][]int{
 		{3},
 		{0, 1, 2, 3, 4, 5},
@@ -76,8 +100,8 @@ func TestQueryBatchToReusesWorkspace(t *testing.T) {
 		for i := range dst {
 			dst[i] = make([]float64, p.N)
 		}
-		if err := p.QueryBatchTo(context.Background(), dst, seeds, bw); err != nil {
-			t.Fatalf("trial %d: QueryBatchTo: %v", trial, err)
+		if err := p.QueryBatchToCtx(ctx, dst, seeds, 1); err != nil {
+			t.Fatalf("trial %d: QueryBatchToCtx: %v", trial, err)
 		}
 		for i, seed := range seeds {
 			want, err := p.Query(seed)
@@ -88,13 +112,13 @@ func TestQueryBatchToReusesWorkspace(t *testing.T) {
 		}
 	}
 
-	if err := p.QueryBatchTo(context.Background(), make([][]float64, 2), []int{0}, bw); err == nil {
+	if err := p.QueryBatchToCtx(ctx, make([][]float64, 2), []int{0}, 1); err == nil {
 		t.Fatal("expected dst/seeds length mismatch error")
 	}
-	if err := p.QueryBatchTo(context.Background(), [][]float64{make([]float64, 3)}, []int{0}, bw); err == nil {
+	if err := p.QueryBatchToCtx(ctx, [][]float64{make([]float64, 3)}, []int{0}, 1); err == nil {
 		t.Fatal("expected short destination error")
 	}
-	if err := p.QueryBatchTo(context.Background(), [][]float64{make([]float64, p.N)}, []int{p.N}, bw); err == nil {
+	if err := p.QueryBatchToCtx(ctx, [][]float64{make([]float64, p.N)}, []int{p.N}, 1); err == nil {
 		t.Fatal("expected out-of-range seed error")
 	}
 }

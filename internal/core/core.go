@@ -51,10 +51,9 @@ type Options struct {
 	K int
 	// Ordering names the reordering engine for lines 2-3 of Algorithm 1
 	// (internal/ordering): "slashburn" (the paper's, and the default when
-	// empty), "mindeg" (greedy minimum-degree elimination), or any engine
-	// registered at runtime. Every engine yields exact query results; they
-	// trade fill, memory, preprocess time, and query speed. Unknown names
-	// fail preprocessing up front.
+	// empty) or "mindeg" (greedy minimum-degree elimination). Every engine
+	// yields exact query results; they trade fill, memory, preprocess time,
+	// and query speed. Unknown names fail preprocessing up front.
 	Ordering string
 	// Laplacian switches the transition matrix from the row-normalized
 	// adjacency Ã to the normalized graph Laplacian D⁻¹ᐟ²AD⁻¹ᐟ²
@@ -96,10 +95,8 @@ type Options struct {
 	// Kernel selects the query-time kernel layout (internal/sparse/kernel):
 	// "" or "auto" picks per matrix (SELL-C-σ for matrices of at least 256
 	// rows with at most 2 stored entries per row, CSR otherwise); "csr"
-	// and "sell" force one layout everywhere; "parallel" row-partitions
-	// SpMV/SpMM over GOMAXPROCS workers on large matrices and picks as
-	// auto does on the rest. Every setting gives bit-identical answers;
-	// only speed differs.
+	// and "sell" force one layout everywhere. Every setting gives
+	// bit-identical answers; only speed differs.
 	Kernel string
 }
 
@@ -175,14 +172,11 @@ type Precomputed struct {
 
 	Stats Stats
 
-	// wsPool recycles query workspaces so steady-state queries allocate
-	// nothing; see AcquireWorkspace. Precomputed must not be copied by
-	// value once queries have run.
-	wsPool sync.Pool
-
-	// batchPool recycles multi-RHS batch workspaces; see
-	// AcquireBatchWorkspace.
-	batchPool sync.Pool
+	// wsPool and batchPool recycle single-vector and batch-width
+	// workspaces, so steady-state queries allocate nothing; see
+	// AcquireWorkspace. Precomputed must not be copied by value once
+	// queries have run.
+	wsPool, batchPool sync.Pool
 
 	// incr caches the Schur-assembly intermediates the incremental rebuild
 	// path patches instead of recomputing: t2 = U₁⁻¹L₁⁻¹H₁₂ (n₁×n₂, rows

@@ -446,7 +446,7 @@ func (d *Dynamic) refreshWoodbury(ctx context.Context) error {
 			continue
 		}
 		col := make([]float64, d.p.N)
-		if err := d.p.solveToCtx(ctx, col, d.deltaColumn(u), ws); err != nil {
+		if err := d.p.solveToCtx(ctx, col, d.deltaColumn(u), 1, ws); err != nil {
 			d.p.ReleaseWorkspace(ws)
 			d.hw = nil
 			return err
@@ -472,24 +472,20 @@ func (d *Dynamic) refreshWoodbury(ctx context.Context) error {
 
 // QueryDist computes exact RWR scores on the *current* graph for an
 // arbitrary starting distribution, correcting the preprocessed solution
-// for all pending updates.
+// for all pending updates. It allocates the result and calls
+// QueryDistToCtx.
 func (d *Dynamic) QueryDist(q []float64) ([]float64, error) {
-	return d.QueryDistCtx(context.Background(), q)
-}
-
-// QueryDistCtx is QueryDist honoring cancellation and deadlines on ctx,
-// checked between the block-elimination stages and between the Woodbury
-// correction terms. It allocates the result and calls QueryDistToCtx.
-func (d *Dynamic) QueryDistCtx(ctx context.Context, q []float64) ([]float64, error) {
 	dst := make([]float64, d.n)
-	if err := d.QueryDistToCtx(ctx, dst, q); err != nil {
+	if err := d.QueryDistToCtx(context.Background(), dst, q); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// QueryDistToCtx is QueryDistCtx writing into caller-owned dst (length N),
-// which may alias q.
+// QueryDistToCtx is QueryDist writing into caller-owned dst (length N),
+// which may alias q, and honoring cancellation and deadlines on ctx,
+// checked between the block-elimination stages and between the Woodbury
+// correction terms.
 func (d *Dynamic) QueryDistToCtx(ctx context.Context, dst, q []float64) error {
 	if len(q) != d.n {
 		return fmt.Errorf("core: starting vector length %d, want %d", len(q), d.n)
@@ -507,7 +503,7 @@ func (d *Dynamic) QueryDistToCtx(ctx context.Context, dst, q []float64) error {
 	}
 	defer d.mu.RUnlock()
 	ws := d.p.AcquireWorkspace()
-	err := d.p.solveToCtx(ctx, dst, q, ws)
+	err := d.p.solveToCtx(ctx, dst, q, 1, ws)
 	d.p.ReleaseWorkspace(ws)
 	if err != nil {
 		return err
@@ -573,27 +569,23 @@ func (d *Dynamic) correctLocked(ctx context.Context, dst []float64) error {
 }
 
 // Query computes exact RWR scores on the current graph for a single seed.
+// It allocates the result and calls QueryToCtx.
 func (d *Dynamic) Query(seed int) ([]float64, error) {
-	return d.QueryCtx(context.Background(), seed)
-}
-
-// QueryCtx is Query honoring cancellation and deadlines on ctx. It
-// allocates the result and calls QueryToCtx.
-func (d *Dynamic) QueryCtx(ctx context.Context, seed int) ([]float64, error) {
 	if err := d.checkSeed(seed); err != nil {
 		return nil, err
 	}
 	dst := make([]float64, d.n)
-	if err := d.QueryToCtx(ctx, dst, seed); err != nil {
+	if err := d.QueryToCtx(context.Background(), dst, seed); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// QueryToCtx is QueryCtx writing into caller-owned dst (length N). The
-// seed goes straight to the block-restricted single-seed solve, the
-// Woodbury correction and the c scaling are applied in place, and with
-// no pending updates the query performs no heap allocations.
+// QueryToCtx is Query writing into caller-owned dst (length N) and
+// honoring cancellation and deadlines on ctx. The seed goes straight to
+// the block-restricted single-seed solve, the Woodbury correction and the
+// c scaling are applied in place, and with no pending updates the query
+// performs no heap allocations.
 func (d *Dynamic) QueryToCtx(ctx context.Context, dst []float64, seed int) error {
 	if err := d.checkSeed(seed); err != nil {
 		return err
@@ -606,7 +598,7 @@ func (d *Dynamic) QueryToCtx(ctx context.Context, dst []float64, seed int) error
 	}
 	defer d.mu.RUnlock()
 	ws := d.p.AcquireWorkspace()
-	err := d.p.solveSeedToCtx(ctx, dst, d.p.Perm[seed], 1, ws)
+	err := d.p.solveSeedTo(ctx, dst, d.p.Perm[seed], 1, 1, ws)
 	d.p.ReleaseWorkspace(ws)
 	if err != nil {
 		return err
@@ -622,14 +614,9 @@ func (d *Dynamic) checkSeed(seed int) error {
 }
 
 // QueryBatch computes exact RWR vectors for many seeds on the current
-// graph; results are indexed like seeds.
+// graph; results are indexed like seeds. It allocates the results and
+// calls QueryBatchToCtx.
 func (d *Dynamic) QueryBatch(seeds []int, workers int) ([][]float64, error) {
-	return d.QueryBatchCtx(context.Background(), seeds, workers)
-}
-
-// QueryBatchCtx is QueryBatch honoring cancellation and deadlines on ctx.
-// It allocates the results and calls QueryBatchToCtx.
-func (d *Dynamic) QueryBatchCtx(ctx context.Context, seeds []int, workers int) ([][]float64, error) {
 	for _, s := range seeds {
 		if err := d.checkSeed(s); err != nil {
 			return nil, err
@@ -639,14 +626,15 @@ func (d *Dynamic) QueryBatchCtx(ctx context.Context, seeds []int, workers int) (
 	for i := range out {
 		out[i] = make([]float64, d.n)
 	}
-	if err := d.QueryBatchToCtx(ctx, out, seeds, workers); err != nil {
+	if err := d.QueryBatchToCtx(context.Background(), out, seeds, workers); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// QueryBatchToCtx is QueryBatchCtx writing into caller-owned dst (indexed
-// like seeds, each vector of length N). With no pending updates it runs
+// QueryBatchToCtx is QueryBatch writing into caller-owned dst (indexed
+// like seeds, each vector of length N) and honoring cancellation and
+// deadlines on ctx. With no pending updates it runs
 // the blocked multi-RHS solver (one factor traversal per chunk of seeds,
 // bit-identical to per-seed Query), fanning chunks out over workers
 // goroutines (0 selects GOMAXPROCS); with pending updates it falls back to
@@ -661,7 +649,7 @@ func (d *Dynamic) QueryBatchToCtx(ctx context.Context, dst [][]float64, seeds []
 		// state captured above even if updates or a rebuild swap land
 		// mid-batch (the same guarantee per-seed queries give: results
 		// reflect the graph as of when the query began).
-		return p.queryBatchTo(ctx, dst, seeds, workers, nil)
+		return p.QueryBatchToCtx(ctx, dst, seeds, workers)
 	}
 	if len(dst) != len(seeds) {
 		return fmt.Errorf("core: %d destinations for %d seeds", len(dst), len(seeds))

@@ -13,13 +13,13 @@ import (
 	"bear/internal/graph/gen"
 )
 
-// generalQuery computes a seed query through the unrestricted solver,
-// bypassing the single-seed dispatch in solveTo. It is the reference the
-// fast path must match bit-for-bit.
+// generalQuery computes a seed query through the unrestricted forward
+// stage, bypassing the single-seed dispatch in solveToCtx. It is the
+// reference the fast path must match bit-for-bit.
 func generalQuery(p *Precomputed, q []float64) []float64 {
 	dst := make([]float64, p.N)
 	ws := p.AcquireWorkspace()
-	if err := p.solveGeneralToCtx(context.Background(), dst, q, ws); err != nil {
+	if err := p.solveDenseTo(context.Background(), dst, q, 1, ws); err != nil {
 		panic(err)
 	}
 	p.ReleaseWorkspace(ws)
@@ -182,16 +182,17 @@ func TestQueryToZeroAllocs(t *testing.T) {
 		}
 	}
 	var qerr error
+	ctx := context.Background()
 	cases := []struct {
 		name string
 		fn   func()
 	}{
-		{"QueryTo/spoke", func() { qerr = p.QueryTo(dst, 1, ws) }},
-		{"QueryTo/hub", func() { qerr = p.QueryTo(dst, hub, ws) }},
-		{"QueryDistTo/general", func() { qerr = p.QueryDistTo(dst, q, ws) }},
+		{"QueryToCtx/spoke", func() { qerr = p.QueryToCtx(ctx, dst, 1, ws) }},
+		{"QueryToCtx/hub", func() { qerr = p.QueryToCtx(ctx, dst, hub, ws) }},
+		{"QueryDistToCtx/general", func() { qerr = p.QueryDistToCtx(ctx, dst, q, ws) }},
 	}
 	for _, c := range cases {
-		if hub < 0 && c.name == "QueryTo/hub" {
+		if hub < 0 && c.name == "QueryToCtx/hub" {
 			continue
 		}
 		c.fn() // warm any lazy state before measuring
@@ -391,7 +392,7 @@ func TestConcurrentBatchAndQueryToRace(t *testing.T) {
 			defer p.ReleaseWorkspace(ws)
 			dst := make([]float64, p.N)
 			for rep := 0; rep < 40; rep++ {
-				if err := p.QueryTo(dst, 2, ws); err != nil {
+				if err := p.QueryToCtx(context.Background(), dst, 2, ws); err != nil {
 					errs <- err
 					return
 				}

@@ -32,7 +32,7 @@ func TestPreprocessAllOrderingsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle LU: %v", gname, err)
 		}
-		for _, eng := range ordering.Builtin() {
+		for _, eng := range ordering.Names() {
 			t.Run(gname+"/"+eng, func(t *testing.T) {
 				p, err := Preprocess(g, Options{K: 2, Ordering: eng})
 				if err != nil {
@@ -78,7 +78,7 @@ func TestPreprocessUnknownOrderingErrors(t *testing.T) {
 // with a fresh preprocessing of the updated graph — under every
 // built-in engine, not just SlashBurn.
 func TestIncrementalRebuildAllOrderings(t *testing.T) {
-	for _, eng := range ordering.Builtin() {
+	for _, eng := range ordering.Names() {
 		t.Run(eng, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(24))
 			d, err := NewDynamic(gen.RMAT(gen.NewRMATPul(200, 1200, 0.7, 21)), Options{K: 2, Ordering: eng})
@@ -109,7 +109,7 @@ func TestIncrementalRebuildAllOrderings(t *testing.T) {
 // the snapshot to the v3 format, which must restore the ordering name
 // and answer queries bit-identically.
 func TestSnapshotOrderingRoundTrip(t *testing.T) {
-	for _, eng := range ordering.Builtin() {
+	for _, eng := range ordering.Names() {
 		if eng == ordering.Default {
 			continue
 		}
@@ -199,41 +199,5 @@ func TestSnapshotUnknownOrderingRefused(t *testing.T) {
 	}
 	if _, err := RestoreDynamic(d.base, d.base, d.Precomputed(), nil, Options{Ordering: "engine-from-the-future"}); err == nil {
 		t.Fatal("RestoreDynamic accepted an unknown ordering")
-	}
-}
-
-// noReuseOrdering is a registered test engine (SlashBurn's ordering
-// under another name) that declares its partitions non-reusable,
-// exercising the ordering_no_reuse rebuild fallback.
-type noReuseOrdering struct{ ordering.SlashBurn }
-
-func (noReuseOrdering) Name() string            { return "test-noreuse" }
-func (noReuseOrdering) ReusablePartition() bool { return false }
-
-// TestRebuildFallbackOrderingNoReuse: an engine that opts out of
-// partition reuse must push explicit incremental rebuilds to a refusal
-// and auto rebuilds to a full pass, both naming ordering_no_reuse.
-func TestRebuildFallbackOrderingNoReuse(t *testing.T) {
-	if err := ordering.Register(noReuseOrdering{}); err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("Register: %v", err)
-	}
-	d, err := NewDynamic(gen.RMAT(gen.NewRMATPul(200, 1200, 0.7, 28)), Options{K: 2, Ordering: "test-noreuse"})
-	if err != nil {
-		t.Fatalf("NewDynamic: %v", err)
-	}
-	rng := rand.New(rand.NewSource(29))
-	applyEligibleChurn(t, rng, d, 0.02)
-	if _, err := d.RebuildCtx(context.Background(), RebuildIncremental); err == nil {
-		t.Fatal("explicit incremental rebuild did not refuse")
-	} else if !strings.Contains(err.Error(), FallbackOrderingReuse) {
-		t.Fatalf("refusal %q does not name %q", err, FallbackOrderingReuse)
-	}
-	rep, err := d.RebuildCtx(context.Background(), RebuildAuto)
-	if err != nil {
-		t.Fatalf("auto rebuild: %v", err)
-	}
-	if rep.Mode != RebuildFull || rep.FallbackReason != FallbackOrderingReuse {
-		t.Fatalf("auto rebuild ran %s with fallback %q, want full with %q",
-			rep.Mode, rep.FallbackReason, FallbackOrderingReuse)
 	}
 }

@@ -5,30 +5,37 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"bear/internal/obsv"
 )
 
 // Query computes the RWR score vector for a single seed node (Algorithm 2
 // of the paper). The result is indexed by graph node id. The only heap
-// allocation is the returned slice; use QueryTo to avoid even that.
+// allocation is the returned slice; use QueryToCtx to avoid even that.
 func (p *Precomputed) Query(seed int) ([]float64, error) {
 	dst := make([]float64, p.N)
-	if err := p.QueryTo(dst, seed, nil); err != nil {
+	if err := p.QueryToCtx(context.Background(), dst, seed, nil); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// QueryTo computes the RWR score vector for a single seed into dst, which
-// must have length N. A nil ws borrows a pooled workspace; passing an
-// explicit one (per goroutine) makes steady-state queries allocation-free.
-// Single-seed queries take the block-restricted fast path: the forward
-// half of Algorithm 2 touches only the seed's diagonal block (Lemma 1),
-// with results bit-identical to the general path. QueryToCtx additionally
-// honors cancellation.
-func (p *Precomputed) QueryTo(dst []float64, seed int, ws *Workspace) error {
-	return p.QueryToCtx(context.Background(), dst, seed, ws)
+// QueryToCtx computes the RWR score vector for a single seed into dst,
+// which must have length N, honoring cancellation and deadlines on ctx. A
+// nil ws borrows a pooled workspace; passing an explicit one (per
+// goroutine) makes steady-state queries allocation-free. The forward half
+// of Algorithm 2 touches only the seed's diagonal block (Lemma 1), with
+// results bit-identical to the unrestricted solve.
+func (p *Precomputed) QueryToCtx(ctx context.Context, dst []float64, seed int, ws *Workspace) error {
+	if seed < 0 || seed >= p.N {
+		return fmt.Errorf("core: seed %d out of range [0,%d)", seed, p.N)
+	}
+	if len(dst) != p.N {
+		return fmt.Errorf("core: destination length %d, want %d", len(dst), p.N)
+	}
+	if ws == nil {
+		ws = p.AcquireWorkspace()
+		defer p.ReleaseWorkspace(ws)
+	}
+	return p.solveSeedTo(ctx, dst, p.Perm[seed], 1, p.C, ws)
 }
 
 // QueryDist computes personalized PageRank for an arbitrary starting
@@ -37,207 +44,33 @@ func (p *Precomputed) QueryTo(dst []float64, seed int, ws *Workspace) error {
 // linearly with it.
 func (p *Precomputed) QueryDist(q []float64) ([]float64, error) {
 	dst := make([]float64, p.N)
-	if err := p.QueryDistTo(dst, q, nil); err != nil {
+	if err := p.QueryDistToCtx(context.Background(), dst, q, nil); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// QueryDistTo is QueryDist writing into caller-owned dst (length N); a nil
-// ws borrows a pooled workspace. dst may alias q. Starting vectors with a
-// single nonzero entry are routed to the same block-restricted fast path
-// as QueryTo. QueryDistToCtx additionally honors cancellation.
-func (p *Precomputed) QueryDistTo(dst, q []float64, ws *Workspace) error {
-	return p.QueryDistToCtx(context.Background(), dst, q, ws)
-}
-
-// solve computes H⁻¹ b by block elimination (Algorithm 2 without the c
-// scaling), for an arbitrary right-hand side indexed by graph node id. It
-// is the primitive both QueryDist and the Woodbury update layer build on.
-func (p *Precomputed) solve(b []float64) []float64 {
-	r := make([]float64, p.N)
-	ws := p.AcquireWorkspace()
-	p.solveTo(r, b, ws)
-	p.ReleaseWorkspace(ws)
-	return r
-}
-
-// solveTo computes H⁻¹ b into dst using ws for every intermediate, so it
-// performs no heap allocations. A right-hand side with exactly one nonzero
-// dispatches to the block-restricted single-seed path; the results are
-// bit-identical to the general path either way.
-func (p *Precomputed) solveTo(dst, b []float64, ws *Workspace) {
-	// context.Background is never cancelled, so the error is always nil.
-	_ = p.solveToCtx(context.Background(), dst, b, ws)
-}
-
-func (p *Precomputed) solveToCtx(ctx context.Context, dst, b []float64, ws *Workspace) error {
-	support := -1
-	for i, v := range b {
-		if v != 0 {
-			if support >= 0 {
-				support = -1
-				break
-			}
-			support = i
+// QueryDistToCtx is QueryDist writing into caller-owned dst (length N) and
+// honoring cancellation and deadlines on ctx; a nil ws borrows a pooled
+// workspace. dst may alias q. Starting vectors with a single nonzero
+// entry take the same block-restricted path as QueryToCtx.
+func (p *Precomputed) QueryDistToCtx(ctx context.Context, dst, q []float64, ws *Workspace) error {
+	if len(q) != p.N {
+		return fmt.Errorf("core: starting vector length %d, want %d", len(q), p.N)
+	}
+	if len(dst) != p.N {
+		return fmt.Errorf("core: destination length %d, want %d", len(dst), p.N)
+	}
+	for i, v := range q {
+		if v < 0 || math.IsNaN(v) {
+			return fmt.Errorf("core: starting vector entry %d is %g; must be non-negative", i, v)
 		}
 	}
-	if support >= 0 {
-		return p.solveSeedToCtx(ctx, dst, p.Perm[support], b[support], ws)
+	if ws == nil {
+		ws = p.AcquireWorkspace()
+		defer p.ReleaseWorkspace(ws)
 	}
-	return p.solveGeneralToCtx(ctx, dst, b, ws)
-}
-
-// solveGeneralToCtx is the unrestricted block-elimination solve: permute
-// and split b, forward pass through the spoke factors, Schur-complement
-// solve, back-substitution, and the inverse permutation into dst.
-// Cancellation is checked between the stages, and each stage records a
-// span into the trace carried by ctx (a no-op when tracing is off).
-func (p *Precomputed) solveGeneralToCtx(ctx context.Context, dst, b []float64, ws *Workspace) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	tr := obsv.FromContext(ctx)
-	n1 := p.N1
-	bp := ws.full
-	for node, v := range b {
-		bp[p.Perm[node]] = v
-	}
-	b1, b2 := bp[:n1], bp[n1:]
-
-	// t = U₁⁻¹ (L₁⁻¹ b₁), the forward half of Algorithm 2.
-	sw := tr.Start(obsv.SpanForwardSolve)
-	p.kern.l1inv.SpMV(ws.s1a, b1)
-	p.kern.u1inv.SpMV(ws.s1b, ws.s1a)
-	sw.Stop()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sw = tr.Start(obsv.SpanSchurSolve)
-	r2 := p.schurSolveTo(b2, ws.s1b, 0, n1, ws)
-	sw.Stop()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sw = tr.Start(obsv.SpanBackSolve)
-	p.backSolveTo(dst, b1, r2, ws)
-	sw.Stop()
-	return nil
-}
-
-// solveSeedToCtx computes H⁻¹ (val·e_node) into dst for the node at internal
-// position pos. For a spoke seed the forward pass U₁⁻¹L₁⁻¹b₁ is supported
-// only on the seed's diagonal block (Lemma 1: the factors of a
-// block-diagonal matrix are block diagonal), so the two triangular
-// products run over that block's row range and the H₂₁ product over its
-// column range, all located via the precomputed block prefix sums. For a
-// hub seed b₁ = 0 and the forward pass vanishes entirely. Skipped terms
-// are exact zeros, so dst is bit-identical to the general path.
-// Cancellation is checked between the stages.
-func (p *Precomputed) solveSeedToCtx(ctx context.Context, dst []float64, pos int, val float64, ws *Workspace) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	tr := obsv.FromContext(ctx)
-	n1, n2 := p.N1, p.N2
-	bp := ws.full
-	for i := range bp {
-		bp[i] = 0
-	}
-	bp[pos] = val
-	b1, b2 := bp[:n1], bp[n1:]
-
-	var r2 []float64
-	if n2 > 0 {
-		if pos < n1 {
-			sw := tr.Start(obsv.SpanForwardSolve)
-			bi := p.blockOfPos(pos)
-			lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
-			p.kern.l1inv.SpMVRange(ws.s1a, b1, lo, hi)
-			p.kern.u1inv.SpMVRange(ws.s1b, ws.s1a, lo, hi)
-			sw.Stop()
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			sw = tr.Start(obsv.SpanSchurSolve)
-			r2 = p.schurSolveTo(b2, ws.s1b, lo, hi, ws)
-			sw.Stop()
-		} else {
-			// A hub seed has b₁ = 0, so the forward half vanishes; record
-			// the span anyway so traces always show the full stage set.
-			tr.Add(obsv.SpanForwardSolve, 0)
-			sw := tr.Start(obsv.SpanSchurSolve)
-			r2 = p.schurSolveTo(b2, nil, 0, 0, ws)
-			sw.Stop()
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sw := tr.Start(obsv.SpanBackSolve)
-	p.backSolveTo(dst, b1, r2, ws)
-	sw.Stop()
-	return nil
-}
-
-// schurSolveTo computes r₂ = U₂⁻¹ (L₂⁻¹ P (b₂ − H₂₁ t)) where t is valid
-// on rows [lo, hi) and exactly zero elsewhere (an empty range means t = 0
-// and the H₂₁ product is skipped). P is the pivot permutation of S's LU.
-// The returned slice is one of ws's hub-length buffers; nil when n₂ = 0.
-func (p *Precomputed) schurSolveTo(b2, t []float64, lo, hi int, ws *Workspace) []float64 {
-	if p.N2 == 0 {
-		return nil
-	}
-	y, spare := ws.s2a, ws.s2b
-	if hi > lo {
-		p.kern.h21.SpMVColRange(y, t, lo, hi)
-	} else {
-		for i := range y {
-			y[i] = 0
-		}
-	}
-	for i := range y {
-		y[i] = b2[i] - y[i]
-	}
-	if p.SPerm != nil {
-		for i, src := range p.SPerm {
-			spare[i] = y[src]
-		}
-		y, spare = spare, y
-	}
-	p.kern.l2inv.SpMV(spare, y)
-	y, spare = spare, y
-	p.kern.u2inv.SpMV(spare, y)
-	return spare
-}
-
-// backSolveTo computes r₁ = U₁⁻¹ (L₁⁻¹ (b₁ − H₁₂ r₂)) and writes the
-// concatenated solution (r₁ ‖ r₂), permuted back to graph node order,
-// into dst. b₁ must alias ws.full (it is read after scratch reuse).
-func (p *Precomputed) backSolveTo(dst, b1, r2 []float64, ws *Workspace) {
-	n1 := p.N1
-	z := ws.s1a
-	if p.N2 > 0 {
-		p.kern.h12.SpMV(z, r2)
-	} else {
-		for i := range z {
-			z[i] = 0
-		}
-	}
-	for i := range z {
-		z[i] = b1[i] - z[i]
-	}
-	p.kern.l1inv.SpMV(ws.s1b, z)
-	p.kern.u1inv.SpMV(ws.s1a, ws.s1b)
-	r1 := ws.s1a
-	for node := 0; node < p.N; node++ {
-		pos := p.Perm[node]
-		if pos < n1 {
-			dst[node] = r1[pos]
-		} else {
-			dst[node] = r2[pos-n1]
-		}
-	}
+	return p.solveToCtx(ctx, dst, q, p.C, ws)
 }
 
 // QueryPageRank computes global PageRank with damping factor 1−c: the
@@ -258,8 +91,14 @@ func (p *Precomputed) QueryPageRank() ([]float64, error) {
 // weighted out-degree of each node. Nodes with zero degree keep their raw
 // RWR score.
 func (p *Precomputed) QueryEffectiveImportance(seed int) ([]float64, error) {
-	r, err := p.Query(seed)
-	if err != nil {
+	return p.QueryEffectiveImportanceCtx(context.Background(), seed)
+}
+
+// QueryEffectiveImportanceCtx is QueryEffectiveImportance honoring
+// cancellation and deadlines on ctx.
+func (p *Precomputed) QueryEffectiveImportanceCtx(ctx context.Context, seed int) ([]float64, error) {
+	r := make([]float64, p.N)
+	if err := p.QueryToCtx(ctx, r, seed, nil); err != nil {
 		return nil, err
 	}
 	for i := range r {

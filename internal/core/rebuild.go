@@ -11,7 +11,6 @@ import (
 
 	"bear/internal/graph"
 	"bear/internal/obsv"
-	"bear/internal/ordering"
 	"bear/internal/sparse"
 )
 
@@ -86,11 +85,6 @@ const (
 	// factor nonzeros past RebuildPolicy.MaxFillRatio times the last full
 	// build — the reused ordering has degraded, so re-run the engine.
 	FallbackFillRatio = "fill_ratio"
-	// FallbackOrderingReuse: the configured ordering engine declares its
-	// partitions non-reusable across graph mutations (ordering.NonReusable),
-	// so the dirty-block path — which reuses the retained partition
-	// verbatim — is unsound for it. All built-in engines are reusable.
-	FallbackOrderingReuse = "ordering_no_reuse"
 )
 
 // RebuildPolicy bounds when RebuildAuto takes the incremental path.
@@ -338,9 +332,6 @@ func (d *Dynamic) incrementalPlanLocked() (*incrPlan, string) {
 	}
 	if p.incr == nil {
 		return nil, FallbackNoCache
-	}
-	if !ordering.Reusable(d.opts.Ordering) {
-		return nil, FallbackOrderingReuse
 	}
 	pol := d.policy.withDefaults()
 	if float64(len(d.dirty)) > pol.MaxChurnFraction*float64(p.N) {

@@ -102,7 +102,7 @@ func (p *Precomputed) Residual(x, q []float64) (float64, error) {
 	return infNorm(ws.rr), nil
 }
 
-// SolveRefinedCtx computes x = H⁻¹ b (the unscaled block-elimination solve
+// solveRefinedCtx computes x = H⁻¹ b (the unscaled block-elimination solve
 // both query layers build on) with iterative refinement: after the initial
 // solve, Richardson sweeps x ← x + P(b − Hx) run until
 // ‖b − Hx‖∞ ≤ tol·‖b‖∞ or maxIter sweeps have been applied (maxIter <= 0
@@ -115,9 +115,9 @@ func (p *Precomputed) Residual(x, q []float64) (float64, error) {
 // iterate so far. Residual and sweep timings are recorded into the
 // obsv.Trace carried by ctx, if any. Requires Options.KeepH when tol > 0.
 // dst must not alias b.
-func (p *Precomputed) SolveRefinedCtx(ctx context.Context, dst, b []float64, tol float64, maxIter int, ws *Workspace) (RefineStats, error) {
+func (p *Precomputed) solveRefinedCtx(ctx context.Context, dst, b []float64, tol float64, maxIter int, ws *Workspace) (RefineStats, error) {
 	if tol <= 0 {
-		if err := p.solveToCtx(ctx, dst, b, ws); err != nil {
+		if err := p.solveToCtx(ctx, dst, b, 1, ws); err != nil {
 			return RefineStats{}, err
 		}
 		return RefineStats{Converged: true, Residual: math.NaN()}, nil
@@ -144,7 +144,7 @@ func (p *Precomputed) SolveRefinedCtx(ctx context.Context, dst, b []float64, tol
 	}
 
 	var stats RefineStats
-	if err := p.solveToCtx(ctx, dst, b, ws); err != nil {
+	if err := p.solveToCtx(ctx, dst, b, 1, ws); err != nil {
 		return stats, err
 	}
 	for {
@@ -170,14 +170,14 @@ func (p *Precomputed) SolveRefinedCtx(ctx context.Context, dst, b []float64, tol
 		}
 		// Correct: x ← x + P r. The residual is gathered back to node
 		// order into zp (its permuted-iterate contents are recomputed next
-		// pass), solved in place — solveToCtx copies its right-hand side
+		// pass), solved in place — solveToCtx loads its right-hand side
 		// into ws.full before writing dst, so the aliasing is safe — and
 		// accumulated into the iterate.
 		sw = tr.Start(obsv.SpanRefineSweep)
 		for node := range zp {
 			zp[node] = ws.rr[p.Perm[node]]
 		}
-		if err := p.solveToCtx(ctx, zp, zp, ws); err != nil {
+		if err := p.solveToCtx(ctx, zp, zp, 1, ws); err != nil {
 			sw.Stop()
 			return stats, err
 		}
@@ -192,7 +192,7 @@ func (p *Precomputed) SolveRefinedCtx(ctx context.Context, dst, b []float64, tol
 // QueryRefinedCtx computes personalized PageRank for the starting vector q
 // like QueryDistToCtx, then verifies and iteratively refines the result
 // against the retained exact H until the relative ∞-norm residual falls
-// below tol (see SolveRefinedCtx). dst receives the c-scaled scores; the
+// below tol (see solveRefinedCtx). dst receives the c-scaled scores; the
 // returned stats carry the c-scaled residual, directly comparable to
 // Residual(dst, q). With tol <= 0 the call is bit-identical to
 // QueryDistToCtx and allocation-free with a caller-held workspace. A nil
@@ -213,7 +213,7 @@ func (p *Precomputed) QueryRefinedCtx(ctx context.Context, dst, q []float64, tol
 		ws = p.AcquireWorkspace()
 		defer p.ReleaseWorkspace(ws)
 	}
-	stats, err := p.SolveRefinedCtx(ctx, dst, q, tol, maxIter, ws)
+	stats, err := p.solveRefinedCtx(ctx, dst, q, tol, maxIter, ws)
 	if err != nil {
 		return stats, err
 	}

@@ -85,8 +85,8 @@ func TestQueryRefinedTolZeroBitIdentical(t *testing.T) {
 	defer p.ReleaseWorkspace(ws)
 	for seed := 0; seed < 10; seed++ {
 		q[seed] = 1
-		if err := p.QueryTo(want, seed, ws); err != nil {
-			t.Fatalf("QueryTo: %v", err)
+		if err := p.QueryToCtx(context.Background(), want, seed, ws); err != nil {
+			t.Fatalf("QueryToCtx: %v", err)
 		}
 		stats, err := p.QueryRefinedCtx(context.Background(), dst, q, 0, 0, ws)
 		if err != nil {

@@ -23,28 +23,30 @@ func TestQueryCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.QueryCtx(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryCtx on cancelled ctx = %v, want context.Canceled", err)
+	dst := make([]float64, p.N)
+	if err := p.QueryToCtx(ctx, dst, 0, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryToCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := p.QueryDistCtx(ctx, make([]float64, p.N)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryDistCtx on cancelled ctx = %v, want context.Canceled", err)
+	if err := p.QueryDistToCtx(ctx, dst, make([]float64, p.N), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryDistToCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if _, err := p.QueryEffectiveImportanceCtx(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryEffectiveImportanceCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, err := p.QueryBatchCtx(ctx, []int{0, 1, 2}, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryBatchCtx on cancelled ctx = %v, want context.Canceled", err)
+	batch := [][]float64{make([]float64, p.N), make([]float64, p.N), make([]float64, p.N)}
+	if err := p.QueryBatchToCtx(ctx, batch, []int{0, 1, 2}, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryBatchToCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
 	// An already-expired deadline behaves the same way.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := p.QueryCtx(dctx, 0); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("QueryCtx past deadline = %v, want context.DeadlineExceeded", err)
+	if err := p.QueryToCtx(dctx, dst, 0, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("QueryToCtx past deadline = %v, want context.DeadlineExceeded", err)
 	}
 	// A live context answers identically to the plain path.
-	got, err := p.QueryCtx(context.Background(), 3)
-	if err != nil {
-		t.Fatalf("QueryCtx: %v", err)
+	got := make([]float64, p.N)
+	if err := p.QueryToCtx(context.Background(), got, 3, nil); err != nil {
+		t.Fatalf("QueryToCtx: %v", err)
 	}
 	want, _ := p.Query(3)
 	if d := maxAbsDiff(got, want); d != 0 {
@@ -66,14 +68,14 @@ func TestDynamicQueryCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := d.QueryCtx(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("dynamic QueryCtx on cancelled ctx = %v, want context.Canceled", err)
+	got := make([]float64, d.n)
+	if err := d.QueryToCtx(ctx, got, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dynamic QueryToCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
 	// The cancelled refresh must not have poisoned the cache: a live
 	// query still matches a fresh preprocessing pass exactly.
-	got, err := d.QueryCtx(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("QueryCtx after cancellation: %v", err)
+	if err := d.QueryToCtx(context.Background(), got, 0); err != nil {
+		t.Fatalf("QueryToCtx after cancellation: %v", err)
 	}
 	want := freshSolve(t, d.Graph(), 0)
 	if diff := maxAbsDiff(got, want); diff > 1e-9 {

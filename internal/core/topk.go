@@ -166,8 +166,8 @@ func (d *Dynamic) QueryTopKCtx(ctx context.Context, seed, k int) (*TopKResult, e
 		return &TopKResult{Nodes: nodes, Scores: scores, Stats: st}, nil
 	}
 
-	scores, err := d.QueryCtx(ctx, seed)
-	if err != nil {
+	scores := make([]float64, n)
+	if err := d.QueryToCtx(ctx, scores, seed); err != nil {
 		return nil, err
 	}
 	nodes := TopK(scores, k)

@@ -1,7 +1,7 @@
 package core
 
 // Block-pruned single-seed top-k back-substitution. The full exact solve
-// spends most of its time in backSolveTo's L₁⁻¹/U₁⁻¹ products over every
+// spends most of its time in backSolve's L₁⁻¹/U₁⁻¹ products over every
 // spoke block, yet a top-k query only needs exact scores for blocks that
 // can plausibly reach rank k. Because H is an M-matrix, each block's
 // solution admits a certified a-priori bound from quantities that are
@@ -22,6 +22,8 @@ import (
 	"context"
 	"math"
 	"sort"
+
+	"bear/internal/obsv"
 )
 
 // topKBoundSlack inflates computed bounds so floating-point rounding in
@@ -130,65 +132,31 @@ func (q *topKIDHeap) theta() (float64, bool) {
 }
 
 // solveSeedTopKCtx answers a single-seed top-k query with the block-pruned
-// exact solve. It mirrors solveSeedToCtx through the forward and Schur
-// stages (hub scores are always exact), then back-substitutes spoke blocks
-// in decreasing order of their certified score bound, stopping as soon as
+// exact solve. It runs the pipeline's load, forward and Schur stages
+// (hub scores are always exact), then back-substitutes spoke blocks in
+// decreasing order of their certified score bound, stopping as soon as
 // the remaining bounds fall strictly below the running k-th best exact
 // score. Scores are final (restart-scaled); nodes are graph ids ranked
 // with TopK's exact comparator. solved and skipped count spoke blocks.
 func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Workspace) (nodes []int, scores []float64, solved, skipped int, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, 0, err
-	}
 	n1, n2 := p.N1, p.N2
 	c := p.C
 	pos := p.Perm[seed]
-	bp := ws.full
-	for i := range bp {
-		bp[i] = 0
-	}
-	bp[pos] = 1
-	b1, b2 := bp[:n1], bp[n1:]
-
-	// Forward and Schur stages, exactly as solveSeedToCtx: the seed block's
-	// restricted factor products feed the hub system, whose solution r2 is
-	// exact for every hub.
-	var r2 []float64
-	if n2 > 0 {
-		if pos < n1 {
-			bi := p.blockOfPos(pos)
-			lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
-			p.kern.l1inv.SpMVRange(ws.s1a, b1, lo, hi)
-			p.kern.u1inv.SpMVRange(ws.s1b, ws.s1a, lo, hi)
-			if err := ctx.Err(); err != nil {
-				return nil, nil, 0, 0, err
-			}
-			r2 = p.schurSolveTo(b2, ws.s1b, lo, hi, ws)
-		} else {
-			r2 = p.schurSolveTo(b2, nil, 0, 0, ws)
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	at := [1]int{pos}
+	p.loadSeeds(ws, at[:], 1)
+	tr := obsv.FromContext(ctx)
+	r2, err := p.forwardSchur(ctx, tr, ws, 1, at[:])
+	if err != nil {
 		return nil, nil, 0, 0, err
 	}
 
-	// z = b₁ − H₁₂r₂, the shared right-hand side of every block's back
-	// substitution — identical to backSolveTo's, and needed in full for the
-	// per-block bounds anyway.
-	z := ws.s1a
-	if n2 > 0 {
-		p.kern.h12.SpMV(z, r2)
-	} else {
-		for i := range z {
-			z[i] = 0
-		}
-	}
-	for i := range z {
-		z[i] = b1[i] - z[i]
-	}
+	// The masked back-substitution stage. z = b₁ − H₁₂r₂ is needed in full
+	// for the per-block bounds anyway.
+	defer tr.Start(obsv.SpanBackSolve).Stop()
+	z := p.backRHS(ws, 1, r2)
 
-	// bp is dead once z exists (schurSolveTo's result lives in s2a/s2b),
-	// so its backing array is recycled as the score vector.
+	// The loaded right-hand side is dead once z exists (r₂ lives in
+	// s2a/s2b), so ws.full is recycled as the score vector.
 	dst := ws.full
 	for i := range dst {
 		dst[i] = 0

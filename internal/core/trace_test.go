@@ -44,8 +44,8 @@ func TestQueryTracePropagation(t *testing.T) {
 	}{{"spoke", spoke}, {"hub", hub}} {
 		tr := obsv.NewTrace()
 		ctx := obsv.WithTrace(context.Background(), tr)
-		if _, err := p.QueryCtx(ctx, tc.seed); err != nil {
-			t.Fatalf("%s: QueryCtx: %v", tc.name, err)
+		if err := p.QueryToCtx(ctx, make([]float64, p.N), tc.seed, nil); err != nil {
+			t.Fatalf("%s: QueryToCtx: %v", tc.name, err)
 		}
 		got := countSpans(tr.Spans())
 		for _, stage := range stages {
@@ -63,8 +63,8 @@ func TestQueryTracePropagation(t *testing.T) {
 	q := make([]float64, p.N)
 	q[spoke], q[hub] = 0.5, 0.5
 	tr := obsv.NewTrace()
-	if _, err := p.QueryDistCtx(obsv.WithTrace(context.Background(), tr), q); err != nil {
-		t.Fatalf("QueryDistCtx: %v", err)
+	if err := p.QueryDistToCtx(obsv.WithTrace(context.Background(), tr), q, q, nil); err != nil {
+		t.Fatalf("QueryDistToCtx: %v", err)
 	}
 	got := countSpans(tr.Spans())
 	for _, stage := range stages {
@@ -86,14 +86,51 @@ func TestBatchTracePropagation(t *testing.T) {
 	tr := obsv.NewTrace()
 	ctx := obsv.WithTrace(context.Background(), tr)
 	seeds := []int{0, 1, 2, 3}
-	if _, err := p.QueryBatchCtx(ctx, seeds, 0); err != nil {
-		t.Fatalf("QueryBatchCtx: %v", err)
+	dst := make([][]float64, len(seeds))
+	for i := range dst {
+		dst[i] = make([]float64, p.N)
+	}
+	if err := p.QueryBatchToCtx(ctx, dst, seeds, 0); err != nil {
+		t.Fatalf("QueryBatchToCtx: %v", err)
 	}
 	got := countSpans(tr.Spans())
 	for _, stage := range []string{obsv.SpanForwardSolve, obsv.SpanSchurSolve, obsv.SpanBackSolve} {
 		if got[stage] != 1 {
 			t.Errorf("batch: stage %s recorded %d times, want 1 (one chunk)", stage, got[stage])
 		}
+	}
+}
+
+// TestTopKTracePropagation: a top-k query answered by the block-pruned
+// solve records the three Algorithm 2 stages, exactly once each.
+func TestTopKTracePropagation(t *testing.T) {
+	g := gen.CavemanHubs(gen.CavemanHubsConfig{
+		Communities: 40, Size: 30, PIntra: 0.4, Hubs: 4, HubDeg: 25, Seed: 5,
+	})
+	d, err := NewDynamic(g, Options{})
+	if err != nil {
+		t.Fatalf("NewDynamic: %v", err)
+	}
+	checked := 0
+	for _, seed := range []int{10, 400, 900} {
+		tr := obsv.NewTrace()
+		res, err := d.QueryTopKCtx(obsv.WithTrace(context.Background(), tr), seed, 10)
+		if err != nil {
+			t.Fatalf("QueryTopKCtx(%d): %v", seed, err)
+		}
+		if res.Stats.BlocksSolved == 0 {
+			continue // answered without the block-pruned solve
+		}
+		checked++
+		got := countSpans(tr.Spans())
+		for _, stage := range []string{obsv.SpanForwardSolve, obsv.SpanSchurSolve, obsv.SpanBackSolve} {
+			if got[stage] != 1 {
+				t.Errorf("seed %d: stage %s recorded %d times, want 1 (spans: %v)", seed, stage, got[stage], tr.Spans())
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no seed reached the block-pruned solve; the test checked nothing")
 	}
 }
 
@@ -113,8 +150,9 @@ func TestDynamicTraceWoodbury(t *testing.T) {
 	}
 	tr := obsv.NewTrace()
 	ctx := obsv.WithTrace(context.Background(), tr)
-	if _, err := d.QueryCtx(ctx, 0); err != nil {
-		t.Fatalf("QueryCtx: %v", err)
+	dst := make([]float64, d.n)
+	if err := d.QueryToCtx(ctx, dst, 0); err != nil {
+		t.Fatalf("QueryToCtx: %v", err)
 	}
 	got := countSpans(tr.Spans())
 	if got[obsv.SpanWoodburyRefresh] != 1 {
@@ -126,8 +164,8 @@ func TestDynamicTraceWoodbury(t *testing.T) {
 
 	// Second query reuses the Woodbury cache: no refresh, still corrected.
 	tr2 := obsv.NewTrace()
-	if _, err := d.QueryCtx(obsv.WithTrace(context.Background(), tr2), 0); err != nil {
-		t.Fatalf("QueryCtx: %v", err)
+	if err := d.QueryToCtx(obsv.WithTrace(context.Background(), tr2), dst, 0); err != nil {
+		t.Fatalf("QueryToCtx: %v", err)
 	}
 	got2 := countSpans(tr2.Spans())
 	if got2[obsv.SpanWoodburyRefresh] != 0 {

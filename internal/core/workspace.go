@@ -1,24 +1,32 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
-// Workspace holds the scratch vectors one block-elimination solve needs:
-// one full-length buffer for the permuted right-hand side, two spoke-length
-// (n₁) buffers ping-ponged through the triangular products, and two
-// hub-length (n₂) buffers for the Schur-complement stage. A Workspace is
-// bound to the Precomputed it was acquired from and is not safe for
-// concurrent use; acquire one per goroutine.
+// Workspace holds the scratch one block-elimination solve needs, for nb
+// right-hand sides at once, in the node-contiguous layout of the sparse
+// multi-RHS kernels (row i of a block occupies [i*nb, (i+1)*nb)): one
+// full-length block for the permuted right-hand sides, two spoke-length
+// (n₁) blocks ping-ponged through the triangular products, and two
+// hub-length (n₂) blocks for the Schur-complement stage. A workspace from
+// AcquireWorkspace has nb = 1 and holds 3n floats; the batch solver
+// acquires its own, nb columns wide. A Workspace is bound to the
+// Precomputed it was acquired from and is not safe for concurrent use;
+// acquire one per goroutine.
 //
 // Steady-state queries routed through a Workspace perform zero heap
 // allocations: every intermediate of Algorithm 2 lands in one of these
-// buffers, and the *To query variants write the result into caller-owned
-// memory.
+// buffers, and the *ToCtx query methods write the result into
+// caller-owned memory.
 type Workspace struct {
-	full     []float64 // n: permuted right-hand side (b₁ ‖ b₂)
-	s1a, s1b []float64 // n₁ scratch, ping-ponged through triangular products
-	s2a, s2b []float64 // n₂ scratch for the Schur-complement stage
+	nb       int
+	full     []float64 // n×nb: permuted right-hand sides (b₁ ‖ b₂)
+	s1a, s1b []float64 // n₁×nb scratch, ping-ponged through triangular products
+	s2a, s2b []float64 // n₂×nb scratch for the Schur-complement stage
 
-	// Refinement scratch (SolveRefinedCtx): permuted RHS, permuted iterate,
+	// Refinement scratch (solveRefinedCtx): permuted RHS, permuted iterate,
 	// and residual. Grown lazily on the first refined solve, so plain
 	// queries never pay for them; once grown they are pooled with the rest.
 	rq, rz, rr []float64
@@ -35,21 +43,60 @@ func (ws *Workspace) ensureRefine(n int) {
 	}
 }
 
-// AcquireWorkspace returns a workspace sized for p, reusing a pooled one
-// when available. Release it with ReleaseWorkspace when done; a workspace
-// may be reused across many queries (one per batch worker is the intended
-// pattern).
+// batchScratchFloats bounds the scratch a batch workspace holds: the chunk
+// width is chosen so one n-length buffer set stays within this many
+// float64s, keeping batch memory flat as graphs grow.
+const batchScratchFloats = 1 << 19
+
+// defaultBatchWidth is the widest chunk (number of right-hand sides
+// carried per factor traversal) used when memory permits. Wider chunks
+// amortize traversals further but see diminishing returns once the
+// per-entry inner loop saturates memory bandwidth.
+const defaultBatchWidth = 16
+
+// batchWidth returns the chunk width for this graph's size.
+func (p *Precomputed) batchWidth() int {
+	w := defaultBatchWidth
+	if p.N > 0 {
+		if c := batchScratchFloats / p.N; c < w {
+			w = c
+		}
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// AcquireWorkspace returns a single-vector workspace sized for p, reusing
+// a pooled one when available. Release it with ReleaseWorkspace when done;
+// a workspace may be reused across many queries.
 func (p *Precomputed) AcquireWorkspace() *Workspace {
-	if ws, ok := p.wsPool.Get().(*Workspace); ok {
+	return p.acquireWorkspace(1)
+}
+
+// acquireWorkspace returns a workspace nb columns wide. Width 1 and the
+// batch width each have their own pool.
+func (p *Precomputed) acquireWorkspace(nb int) *Workspace {
+	if ws, ok := p.pool(nb).Get().(*Workspace); ok {
 		return ws
 	}
 	return &Workspace{
-		full: make([]float64, p.N),
-		s1a:  make([]float64, p.N1),
-		s1b:  make([]float64, p.N1),
-		s2a:  make([]float64, p.N2),
-		s2b:  make([]float64, p.N2),
+		nb:   nb,
+		full: make([]float64, p.N*nb),
+		s1a:  make([]float64, p.N1*nb),
+		s1b:  make([]float64, p.N1*nb),
+		s2a:  make([]float64, p.N2*nb),
+		s2b:  make([]float64, p.N2*nb),
 	}
+}
+
+// pool returns the workspace pool for width nb.
+func (p *Precomputed) pool(nb int) *sync.Pool {
+	if nb == 1 {
+		return &p.wsPool
+	}
+	return &p.batchPool
 }
 
 // ReleaseWorkspace returns ws to p's pool for reuse. ws must have been
@@ -58,9 +105,9 @@ func (p *Precomputed) ReleaseWorkspace(ws *Workspace) {
 	if ws == nil {
 		return
 	}
-	if len(ws.full) != p.N || len(ws.s1a) != p.N1 || len(ws.s2a) != p.N2 {
-		panic(fmt.Sprintf("core: workspace sized %d/%d/%d released to a %d/%d/%d solver",
-			len(ws.full), len(ws.s1a), len(ws.s2a), p.N, p.N1, p.N2))
+	if ws.nb < 1 || len(ws.full) != p.N*ws.nb || len(ws.s1a) != p.N1*ws.nb || len(ws.s2a) != p.N2*ws.nb {
+		panic(fmt.Sprintf("core: workspace sized %d/%d/%d (nb=%d) released to a %d/%d/%d solver",
+			len(ws.full), len(ws.s1a), len(ws.s2a), ws.nb, p.N, p.N1, p.N2))
 	}
-	p.wsPool.Put(ws)
+	p.pool(ws.nb).Put(ws)
 }

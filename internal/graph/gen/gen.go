@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"bear/internal/graph"
 )
@@ -107,15 +108,18 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 			targets = append(targets, u, v)
 		}
 	}
+	// Picks are attached in the order they were drawn, so the targets list,
+	// and with it every later draw, depends only on the seed.
+	chosen := make([]int, 0, k)
 	for u := m0; u < n; u++ {
-		chosen := make(map[int]bool, k)
+		chosen = chosen[:0]
 		for len(chosen) < k {
 			v := targets[rng.Intn(len(targets))]
-			if v != u {
-				chosen[v] = true
+			if v != u && !slices.Contains(chosen, v) {
+				chosen = append(chosen, v)
 			}
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			b.AddUndirected(u, v, 1)
 			targets = append(targets, u, v)
 		}

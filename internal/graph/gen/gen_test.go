@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"bytes"
 	"testing"
 
 	"bear/internal/graph"
@@ -84,6 +85,20 @@ func TestBarabasiAlbert(t *testing.T) {
 	}
 	if mx < 20 {
 		t.Fatalf("max degree %d suspiciously small for preferential attachment", mx)
+	}
+}
+
+// TestBarabasiAlbertDeterministic: a seed fixes the graph, edge for edge.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	var a, b bytes.Buffer
+	if err := BarabasiAlbert(2000, 3, 11).SaveEdgeList(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := BarabasiAlbert(2000, 3, 11).SaveEdgeList(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("two calls with the same seed gave different edge lists")
 	}
 }
 

@@ -18,15 +18,12 @@
 //
 // Any permutation meeting the contract yields exact query results; engines
 // differ only in fill-in of the inverted factors, Schur size, preprocess
-// time, and query speed. Two engines are built in — SlashBurn (the paper's
-// choice) and minimum-degree elimination — and more can be added with
-// Register.
+// time, and query speed. Two engines exist: SlashBurn (the paper's
+// choice) and minimum-degree elimination.
 package ordering
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"bear/internal/graph"
 )
@@ -74,8 +71,8 @@ func (r *Result) SumSqBlocks() int64 {
 // safe for concurrent use; Run must be deterministic for a given graph and
 // params (rebuild equivalence tests depend on it).
 type Ordering interface {
-	// Name returns the engine's registry name, a lowercase identifier
-	// stable across releases (it is persisted in snapshots).
+	// Name returns the engine's name, a lowercase identifier stable across
+	// releases (it is persisted in snapshots).
 	Name() string
 	// Run orders g. The graph is viewed as undirected (out ∪ in edges), as
 	// H has a nonzero wherever either direction has an edge. The returned
@@ -83,107 +80,32 @@ type Ordering interface {
 	Run(g *graph.Graph, p Params) (*Result, error)
 }
 
-// NonReusable is an optional interface for engines whose partitions must
-// not be reused across graph mutations (for example, orderings whose block
-// structure depends on edge weights). Incremental rebuilds fall back to a
-// full pass for such engines; engines not implementing it are reusable.
-type NonReusable interface {
-	// ReusablePartition reports whether dirty-block rebuilds may reuse a
-	// partition this engine produced after the graph has changed.
-	ReusablePartition() bool
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Ordering{}
-	builtin  []string
-)
-
-func init() {
-	for _, o := range []Ordering{SlashBurn{}, MinDegree{}} {
-		if err := Register(o); err != nil {
-			panic(err)
-		}
-		builtin = append(builtin, o.Name())
-	}
-	sort.Strings(builtin)
-}
-
-// Register adds an engine to the registry, making it selectable by name
-// through core.Options.Ordering, the bearserve -ordering flag, and PUT
-// ?ordering=. It errors on an empty or duplicate name.
-func Register(o Ordering) error {
-	name := o.Name()
-	if name == "" {
-		return fmt.Errorf("ordering: engine with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("ordering: engine %q already registered", name)
-	}
-	registry[name] = o
-	return nil
-}
-
 // Get resolves an engine by name; the empty string selects Default. An
 // unknown name is an explicit error (callers surface it before any
 // preprocessing work, and snapshot restore refuses the file).
 func Get(name string) (Ordering, error) {
-	if name == "" {
-		name = Default
+	switch Normalize(name) {
+	case "slashburn":
+		return SlashBurn{}, nil
+	case "mindeg":
+		return MinDegree{}, nil
 	}
-	regMu.RLock()
-	o, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("ordering: unknown ordering %q (have %v)", name, Names())
-	}
-	return o, nil
+	return nil, fmt.Errorf("ordering: unknown ordering %q (have %v)", name, Names())
 }
 
-// Names lists every registered engine, sorted. The set is closed at
-// runtime, so it can back bounded metric label sets.
+// Names lists every engine, sorted. The set is fixed at compile time, so
+// it can back bounded metric label sets.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Builtin lists the engines compiled into the package (excluding any
-// runtime registrations), sorted — the set documentation and CI doc-drift
-// guards check against.
-func Builtin() []string {
-	return append([]string(nil), builtin...)
+	return []string{"mindeg", "slashburn"}
 }
 
 // Normalize maps the empty name to Default and leaves every other name
-// unchanged; it does not check registration.
+// unchanged; it does not check that the engine exists.
 func Normalize(name string) string {
 	if name == "" {
 		return Default
 	}
 	return name
-}
-
-// Reusable reports whether incremental rebuilds may reuse a partition
-// produced by the named engine (empty = Default). Unknown engines report
-// false — without the engine, there is no way to know its contract, so
-// the rebuild path conservatively runs a full pass.
-func Reusable(name string) bool {
-	o, err := Get(name)
-	if err != nil {
-		return false
-	}
-	if nr, ok := o.(NonReusable); ok {
-		return nr.ReusablePartition()
-	}
-	return true
 }
 
 // CheckStructure verifies the O(n) part of the contract — permutation

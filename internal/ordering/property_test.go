@@ -107,7 +107,7 @@ func orderingFixtures() []struct {
 // deterministic — two runs on the same graph bit-identical — because
 // the incremental rebuild and the snapshot format both assume it.
 func TestOrderingInvariants(t *testing.T) {
-	for _, engName := range ordering.Builtin() {
+	for _, engName := range ordering.Names() {
 		eng, err := ordering.Get(engName)
 		if err != nil {
 			t.Fatalf("Get(%q): %v", engName, err)
@@ -143,8 +143,7 @@ func TestOrderingInvariants(t *testing.T) {
 }
 
 // TestRegistry covers the lookup surface: the empty name is the
-// SlashBurn default, unknown names error listing the known set, and
-// duplicate registration is refused.
+// SlashBurn default, and unknown names error listing the known set.
 func TestRegistry(t *testing.T) {
 	def, err := ordering.Get("")
 	if err != nil {
@@ -160,16 +159,5 @@ func TestRegistry(t *testing.T) {
 	}
 	if got := ordering.Normalize(""); got != ordering.Default {
 		t.Fatalf(`Normalize("") = %q`, got)
-	}
-	for _, name := range ordering.Builtin() {
-		if !ordering.Reusable(name) {
-			t.Errorf("built-in %s reports non-reusable partitions", name)
-		}
-	}
-	if ordering.Reusable("no-such-engine") {
-		t.Error("unknown engine reported reusable")
-	}
-	if err := ordering.Register(ordering.SlashBurn{}); err == nil {
-		t.Error("duplicate Register did not error")
 	}
 }

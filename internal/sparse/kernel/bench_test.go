@@ -3,7 +3,6 @@ package kernel_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -58,13 +57,10 @@ func benchLayouts(m *sparse.CSR) []struct {
 			k    kernel.Matrix
 		}{"sell", s})
 	}
-	return append(out, struct {
-		name string
-		k    kernel.Matrix
-	}{fmt.Sprintf("parallel-w%d", runtime.GOMAXPROCS(0)), kernel.NewParallel(m, 0)})
+	return out
 }
 
-// BenchmarkKernelSpMV sweeps format × threads × block shape on the real
+// BenchmarkKernelSpMV sweeps format × block shape on the real
 // preprocessed factors; results feed BENCH_kernels.json and the CI
 // regression gate (bearbench -exp kernels).
 func BenchmarkKernelSpMV(b *testing.B) {

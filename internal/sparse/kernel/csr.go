@@ -10,9 +10,9 @@ import (
 // CSR is the baseline layout: the product loops run straight over a
 // sparse.CSR's arrays, accumulating each row in ascending stored-column
 // order. The full SpMV is sparse.(*CSR).MulVecTo itself; the ranged,
-// column-windowed, multi-RHS and residual loops live here. SELL and
-// Parallel call the unexported loops directly, so a call on either counts
-// only against its own layout.
+// column-windowed, multi-RHS and residual loops live here. SELL calls the
+// unexported loops directly, so a call on it counts only against its own
+// layout.
 type CSR struct {
 	m *sparse.CSR
 }

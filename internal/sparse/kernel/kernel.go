@@ -13,16 +13,12 @@
 //     column-position-major so the 8 accumulators advance in lockstep.
 //     Only the full SpMV runs natively; every other product runs the csr
 //     loops.
-//   - parallel: row-partitions the csr loops of SpMV/SpMM across the
-//     shared persistent worker pool with nnz-balanced cuts.
 //
 // # Determinism contract
 //
 // Every layout returns results bit-identical to the csr loops: each output
 // row is accumulated in ascending stored-column order, the order
-// sparse.(*CSR).MulVecTo uses, and the parallel layout assigns each row to
-// exactly one partition whose boundaries depend only on the matrix and the
-// worker count — never on scheduling.
+// sparse.(*CSR).MulVecTo uses.
 package kernel
 
 import "sync/atomic"
@@ -32,7 +28,7 @@ import "sync/atomic"
 // Multi-vector (SpMM) operands are node-contiguous: x[col*nb+t] holds
 // column t of logical row col.
 type Matrix interface {
-	// Layout names the storage layout ("csr", "sell", "parallel").
+	// Layout names the storage layout ("csr", "sell").
 	Layout() string
 
 	// SpMV computes y = M·x. len(y) = rows, len(x) = cols.
@@ -58,10 +54,10 @@ type Matrix interface {
 	Residual(r, q, x []float64)
 }
 
-// Layout/parallel-path selection and call counters, exposed for the
-// server's bear_kernel_* metrics. All counters are monotone and safe for
-// concurrent use. Each Matrix method call raises exactly one call counter
-// by one: the one of the layout it was called on.
+// Layout selection and call counters, exposed for the server's
+// bear_kernel_* metrics. All counters are monotone and safe for concurrent
+// use. Each Matrix method call raises exactly one call counter by one: the
+// one of the layout it was called on.
 type layoutStats struct {
 	selected atomic.Uint64 // matrices constructed with this layout
 	spmv     atomic.Uint64 // SpMV-family calls (incl. ranged variants)
@@ -69,20 +65,18 @@ type layoutStats struct {
 }
 
 const (
-	layoutCSR      = "csr"
-	layoutSELL     = "sell"
-	layoutParallel = "parallel"
+	layoutCSR  = "csr"
+	layoutSELL = "sell"
 )
 
 var stats = map[string]*layoutStats{
-	layoutCSR:      new(layoutStats),
-	layoutSELL:     new(layoutStats),
-	layoutParallel: new(layoutStats),
+	layoutCSR:  new(layoutStats),
+	layoutSELL: new(layoutStats),
 }
 
 // Layouts lists every layout name that Stats reports, in display order.
 func Layouts() []string {
-	return []string{layoutCSR, layoutSELL, layoutParallel}
+	return []string{layoutCSR, layoutSELL}
 }
 
 // Stats returns the cumulative selection and call counters for a layout.

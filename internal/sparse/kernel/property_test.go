@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"bear/internal/sparse"
@@ -75,9 +74,9 @@ type layoutCase struct {
 }
 
 // layoutCases enumerates every layout the property tests cover: csr and
-// sell, and the parallel row-partitioner at 1, 3 and GOMAXPROCS lanes.
+// sell.
 func layoutCases(t testing.TB) []layoutCase {
-	cases := []layoutCase{
+	return []layoutCase{
 		{"csr", func(m *sparse.CSR) kernel.Matrix { return kernel.NewCSR(m) }},
 		{"sell", func(m *sparse.CSR) kernel.Matrix {
 			s := kernel.NewSELL(m)
@@ -87,13 +86,6 @@ func layoutCases(t testing.TB) []layoutCase {
 			return s
 		}},
 	}
-	for _, workers := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-		cases = append(cases, layoutCase{
-			name:  fmt.Sprintf("parallel(w=%d)", workers),
-			build: func(m *sparse.CSR) kernel.Matrix { return kernel.NewParallel(m, workers) },
-		})
-	}
-	return cases
 }
 
 // checkBits fails unless got and want hold the same float64 bit patterns.
@@ -240,7 +232,7 @@ func TestResidualZeroAllocs(t *testing.T) {
 
 // TestStatsCountOnePerCall: one call of any product on any layout raises
 // exactly one kernel.Stats counter, by one — its own layout's spmv or
-// spmm. SELL and Parallel run the csr loops without going through CSR's
+// spmm. SELL runs the csr loops without going through CSR's
 // counted methods, so bear_kernel_*_total reports calls, not the loops
 // behind them.
 func TestStatsCountOnePerCall(t *testing.T) {
@@ -293,11 +285,10 @@ func TestStatsCountOnePerCall(t *testing.T) {
 
 func TestParseConfig(t *testing.T) {
 	for spec, want := range map[string]kernel.Config{
-		"":         {},
-		"auto":     {},
-		"csr":      {Layout: kernel.ForceCSR},
-		"sell":     {Layout: kernel.ForceSELL},
-		"parallel": {Workers: -1},
+		"":     {},
+		"auto": {},
+		"csr":  {Layout: kernel.ForceCSR},
+		"sell": {Layout: kernel.ForceSELL},
 	} {
 		got, err := kernel.ParseConfig(spec)
 		if err != nil {
@@ -307,7 +298,7 @@ func TestParseConfig(t *testing.T) {
 			t.Fatalf("ParseConfig(%q) = %+v, want %+v", spec, got, want)
 		}
 	}
-	for _, spec := range []string{"blocked-nonsense", "hybrid"} {
+	for _, spec := range []string{"blocked-nonsense", "hybrid", "parallel"} {
 		if _, err := kernel.ParseConfig(spec); err == nil {
 			t.Fatalf("ParseConfig accepted the unknown spec %q", spec)
 		}
@@ -316,8 +307,7 @@ func TestParseConfig(t *testing.T) {
 
 // TestAutoSelection pins the heuristic: near-diagonal matrices (mean ≤ 2
 // entries per row, where SELL measures ~1.5× over CSR) pick SELL, denser
-// ones stay on CSR, small matrices never pay layout construction, and
-// the parallel layout engages only past the nnz floor.
+// ones stay on CSR, and small matrices never pay layout construction.
 func TestAutoSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// Near-diagonal: 1–2 entries per row, the spoke-factor shape of
@@ -343,17 +333,5 @@ func TestAutoSelection(t *testing.T) {
 	}
 	if got := kernel.New(spoke, kernel.Config{Layout: kernel.ForceSELL}).Layout(); got != "sell" {
 		t.Fatalf("forced layout = %s, want sell", got)
-	}
-	// spoke has ~4.8k entries — under the parallel floor, so the
-	// sequential layout stays even with workers requested.
-	if got := kernel.New(spoke, kernel.Config{Workers: 4}).Layout(); got == "parallel" {
-		t.Fatal("parallel layout engaged below the nnz floor")
-	}
-	big := randCSR(rng, 600, 600, 0.12)
-	if big.NNZ() < 1<<15 {
-		t.Fatalf("fixture under the parallel floor: nnz=%d", big.NNZ())
-	}
-	if got := kernel.New(big, kernel.Config{Workers: 4}).Layout(); got != "parallel" {
-		t.Fatalf("large matrix with workers=4 layout = %s, want parallel", got)
 	}
 }

@@ -19,15 +19,10 @@ const (
 type Config struct {
 	// Layout forces a specific storage layout; Auto applies the heuristic.
 	Layout Layout
-	// Workers selects the parallel row-partitioner instead of Layout when
-	// > 1 (or < 0 for GOMAXPROCS lanes) and the matrix is large enough to
-	// amortize the pool handoff. 0 and 1 stay sequential.
-	Workers int
 }
 
 // ParseConfig maps an -kernel / Options.Kernel spec to a Config. Accepted
-// specs: "" or "auto" (heuristic, sequential), "csr", "sell", "parallel"
-// (GOMAXPROCS lanes on large matrices, the heuristic on the rest).
+// specs: "" or "auto" (the heuristic), "csr", "sell".
 func ParseConfig(spec string) (Config, error) {
 	switch spec {
 	case "", "auto":
@@ -36,10 +31,8 @@ func ParseConfig(spec string) (Config, error) {
 		return Config{Layout: ForceCSR}, nil
 	case "sell":
 		return Config{Layout: ForceSELL}, nil
-	case "parallel":
-		return Config{Workers: -1}, nil
 	default:
-		return Config{}, fmt.Errorf("kernel: unknown layout %q (want auto, csr, sell or parallel)", spec)
+		return Config{}, fmt.Errorf("kernel: unknown layout %q (want auto, csr or sell)", spec)
 	}
 }
 
@@ -57,12 +50,7 @@ const (
 // New builds the kernel view of m under cfg and records the choice in
 // the kernel selection counters.
 func New(m *sparse.CSR, cfg Config) Matrix {
-	var k Matrix
-	if w := cfg.Workers; (w > 1 || w < 0) && m.NNZ() >= minParallelNNZ {
-		k = NewParallel(m, w)
-	} else {
-		k = pick(m, cfg.Layout)
-	}
+	k := pick(m, cfg.Layout)
 	statSelected(k.Layout())
 	return k
 }

@@ -12,12 +12,11 @@ import (
 // argument contract: mismatched shapes, row or column windows outside the
 // matrix or reversed, and non-positive RHS counts all panic on every
 // layout. The shape cases pass an x one entry too long, so only the
-// explicit check can catch them. Parallel runs at one lane, where the
-// partition runs on the calling goroutine and its panic can be recovered.
+// explicit check can catch them.
 
 // contractLayouts builds every layout over m.
 func contractLayouts(m *sparse.CSR) []kernel.Matrix {
-	return []kernel.Matrix{kernel.NewCSR(m), kernel.NewSELL(m), kernel.NewParallel(m, 1)}
+	return []kernel.Matrix{kernel.NewCSR(m), kernel.NewSELL(m)}
 }
 
 // expectPanics runs each case and fails unless it panics.

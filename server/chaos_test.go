@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -178,7 +177,7 @@ func TestChaosCacheInvalidationRace(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		body := fmt.Sprintf(`{"op":"add","u":%d,"v":%d,"w":30}`, checkSeed, 30+i)
 		doJSON(t, "POST", base+"/g/edges", body, http.StatusOK)
-		expected, err := e.dyn.QueryCtx(context.Background(), checkSeed)
+		expected, err := e.dyn.Query(checkSeed)
 		if err != nil {
 			t.Fatalf("round %d: direct solve: %v", i, err)
 		}

@@ -111,7 +111,7 @@ func (s *Server) metrics() *serverMetrics {
 			return float64(n)
 		})
 
-		// Kernel-layer layout/parallel-path counters, read live from
+		// Kernel-layer layout counters, read live from
 		// internal/sparse/kernel. Process-wide rather than per graph:
 		// layouts are chosen per matrix at preprocess/load time, and the
 		// hot-path counters are plain atomics with no graph dimension.
@@ -119,7 +119,7 @@ func (s *Server) metrics() *serverMetrics {
 			layout := layout
 			l := obsv.L("layout", layout)
 			reg.CounterFunc("bear_kernel_selected_total",
-				"Kernel matrices constructed, by storage layout ('parallel' counts wrappers around another layout). Shows what the auto heuristic or the -kernel override picked.",
+				"Kernel matrices constructed, by storage layout. Shows what the auto heuristic or the -kernel override picked.",
 				func() uint64 { sel, _, _ := kernel.Stats(layout); return sel }, l)
 			reg.CounterFunc("bear_kernel_spmv_total",
 				"Kernel SpMV-family calls (full, row-ranged and column-ranged), by layout.",
@@ -213,9 +213,9 @@ func (s *Server) exportGraphMetrics(name string, e *entry) {
 	stage("schur_factor", func(st bear.Stats) time.Duration { return st.TimeLU2 })
 	stage("total", func(st bear.Stats) time.Duration { return st.TimeTotal })
 
-	// One series per registered engine (a closed set, so cardinality is
-	// bounded): 1 for the engine that produced the current index, 0
-	// otherwise — rebuild swaps are reflected at scrape time.
+	// One series per engine (a closed set, so cardinality is bounded): 1
+	// for the engine that produced the current index, 0 otherwise —
+	// rebuild swaps are reflected at scrape time.
 	for _, name := range bear.Orderings() {
 		name := name
 		m.reg.GaugeFunc("bear_ordering_selected",

@@ -102,7 +102,7 @@ type Server struct {
 	// DefaultKernel is the query-kernel layout spec applied to graphs
 	// registered over the API without an explicit ?kernel= choice: "" or
 	// "auto" (SELL-C-σ for matrices of at least 256 rows with at most 2
-	// stored entries per row, CSR otherwise), "csr", "sell", "parallel".
+	// stored entries per row, CSR otherwise), "csr", "sell".
 	// Set from the bearserve -kernel flag; see internal/sparse/kernel.
 	DefaultKernel string
 

@@ -139,13 +139,14 @@ func TopKCandidates(g *Graph, scores []float64, seed, k int) []int {
 	return core.TopKCandidates(g, scores, seed, k)
 }
 
-// TopKResult is the answer to Dynamic.QueryTopK / QueryTopKCtx — the
-// hybrid push+block-elimination top-k query whose node set is provably
-// identical to TopK over the full exact solve. Stats reports whether the
-// certified push bound pruned the exact solve.
+// TopKResult is the answer to Dynamic.QueryTopK / QueryTopKCtx: its nodes,
+// order and scores are bit-identical to TopK over the full exact solve,
+// whether the block-pruned solve or the full solve produced them.
 type TopKResult = core.TopKResult
 
-// TopKStats reports how a hybrid top-k query was answered.
+// TopKStats reports how a top-k query was answered: the fallback reason
+// when the full solve ran, and the spoke blocks the block-pruned solve
+// back-substituted or skipped.
 type TopKStats = core.TopKStats
 
 // SolveIterative computes the RWR vector with the classic power iteration

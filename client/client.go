@@ -467,9 +467,10 @@ func (c *Client) QueryBatch(ctx context.Context, name string, seeds []int, top i
 }
 
 // TopK returns the k highest-scoring nodes for seed through the server's
-// hybrid top-k path. The node set is identical to Query with top=k; pruned
-// reports whether local-push bounds certified the set without running the
-// exact solve (in which case scores are certified estimates, not exact).
+// top-k path; the results are bit-identical to Query with top=k. pruned is
+// always false from a current bearserve: it can be true only when an older
+// one answered from local-push bounds (scores then were certified
+// estimates, not exact), for example during a mixed-version rollout.
 func (c *Client) TopK(ctx context.Context, name string, seed, k int) (results []server.ScoredNode, pruned bool, err error) {
 	path := fmt.Sprintf("/v1/graphs/%s/topk?seed=%d&k=%d", url.PathEscape(name), seed, k)
 	var out struct {

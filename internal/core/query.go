@@ -148,25 +148,13 @@ func TopK(scores []float64, k int) []int {
 	return topKFiltered(scores, k, nil)
 }
 
-// topKFiltered is the candidate filter shared by TopK, TopKExcluding, and
+// topKFiltered is the bounded min-heap behind TopK, TopKExcluding, and
 // TopKCandidates: indices for which skip returns true never enter the
-// heap, everything else ranks exactly as in TopK.
+// heap, everything else ranks by descending score, ties by ascending id,
+// NaN ordered explicitly as the worst possible score.
 func topKFiltered(scores []float64, k int, skip func(int) bool) []int {
-	return topKOver(scores, k, nil, skip)
-}
-
-// topKOver is the bounded min-heap behind every top-k selection. ids
-// restricts the candidates to a subset of indices (nil means all of
-// scores); indices for which skip returns true never enter the heap.
-// Candidates rank by descending score, ties by ascending id, NaN ordered
-// explicitly as the worst possible score.
-func topKOver(scores []float64, k int, ids []int, skip func(int) bool) []int {
-	limit := len(scores)
-	if ids != nil {
-		limit = len(ids)
-	}
-	if k > limit {
-		k = limit
+	if k > len(scores) {
+		k = len(scores)
 	}
 	if k <= 0 {
 		return []int{}
@@ -216,44 +204,34 @@ func topKOver(scores []float64, k int, ids []int, skip func(int) bool) []int {
 			c = m
 		}
 	}
-	if ids != nil {
-		for _, i := range ids {
-			if len(h) < k {
-				push(i)
-			} else if !worse(i, h[0]) {
-				replaceRoot(i)
-			}
+	i := 0
+	for ; i < len(scores) && len(h) < k; i++ {
+		if skip == nil || !skip(i) {
+			push(i)
 		}
-	} else {
-		i := 0
-		for ; i < len(scores) && len(h) < k; i++ {
-			if skip == nil || !skip(i) {
-				push(i)
-			}
+	}
+	// Once the heap is full, a real root score θ settles most nodes with
+	// one comparison: the scan runs in ascending id order, so a node tying
+	// θ has a higher id than the root and ranks below it, and a NaN ranks
+	// below any real θ — both fail scores[i] > θ. Only a NaN root needs
+	// the general comparison. skip runs only for nodes that pass the
+	// threshold.
+	theta := math.NaN()
+	if len(h) == k {
+		theta = scores[h[0]]
+	}
+	for ; i < len(scores); i++ {
+		if !(scores[i] > theta) && !math.IsNaN(theta) {
+			continue
 		}
-		// Once the heap is full, a real root score θ settles most nodes
-		// with one comparison: the scan runs in ascending id order, so a
-		// node tying θ has a higher id than the root and ranks below it,
-		// and a NaN ranks below any real θ — both fail scores[i] > θ.
-		// Only a NaN root needs the general comparison. skip runs only
-		// for nodes that pass the threshold.
-		theta := math.NaN()
-		if len(h) == k {
-			theta = scores[h[0]]
+		if skip != nil && skip(i) {
+			continue
 		}
-		for ; i < len(scores); i++ {
-			if !(scores[i] > theta) && !math.IsNaN(theta) {
-				continue
-			}
-			if skip != nil && skip(i) {
-				continue
-			}
-			if worse(i, h[0]) {
-				continue
-			}
-			replaceRoot(i)
-			theta = scores[h[0]]
+		if worse(i, h[0]) {
+			continue
 		}
+		replaceRoot(i)
+		theta = scores[h[0]]
 	}
 	sort.Slice(h, func(a, b int) bool { return worse(h[b], h[a]) })
 	return h

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -11,10 +12,10 @@ import (
 	"bear/internal/graph/gen"
 )
 
-// topKFixtures is the 11-graph suite the hybrid top-k contract is checked
-// on: the shared core fixtures plus three shapes that stress certification
-// differently — a path (long diameter, slow push spread), a bipartite graph
-// (score oscillation), and a clique (maximal ties).
+// topKFixtures is the 11-graph suite the top-k contract is checked on:
+// the shared core fixtures plus three shapes that stress the block bound
+// differently — a path (long diameter), a bipartite graph (score
+// oscillation), and a clique (maximal ties).
 func topKFixtures(seed int64) map[string]*graph.Graph {
 	m := testGraphs(seed)
 	m["path"] = pathGraph(150)
@@ -43,123 +44,117 @@ func cliqueGraph(n int) *graph.Graph {
 	return b.Build()
 }
 
-func sortedCopy(s []int) []int {
-	c := append([]int(nil), s...)
-	sort.Ints(c)
-	return c
-}
-
-func sameSet(t *testing.T, got, want []int, label string) {
+// checkTopKAnswer asserts the one top-k contract: res holds exactly
+// TopK(exact, k) — same nodes, same order — with each node's exact score.
+func checkTopKAnswer(t *testing.T, res *TopKResult, exact []float64, k int, label string) {
 	t.Helper()
-	g, w := sortedCopy(got), sortedCopy(want)
-	if len(g) != len(w) {
-		t.Fatalf("%s: got %d nodes, want %d\ngot  %v\nwant %v", label, len(g), len(w), g, w)
+	want := TopK(exact, k)
+	if len(res.Nodes) != len(want) || len(res.Scores) != len(want) {
+		t.Fatalf("%s: got %d nodes / %d scores, want %d (stats %+v)", label, len(res.Nodes), len(res.Scores), len(want), res.Stats)
 	}
-	for i := range g {
-		if g[i] != w[i] {
-			t.Fatalf("%s: sets differ\ngot  %v\nwant %v", label, g, w)
+	for i, v := range res.Nodes {
+		if v != want[i] || res.Scores[i] != exact[v] {
+			t.Fatalf("%s: diverges at rank %d: node %d score %g, want node %d score %g (stats %+v)",
+				label, i, v, res.Scores[i], want[i], exact[want[i]], res.Stats)
 		}
 	}
 }
 
-// TestHybridTopKMatchesExact is the central contract: on every fixture and
-// every k, QueryTopKCtx returns exactly the node set TopK picks from the
-// full exact solve — certified-pruned or not.
+// TestHybridTopKMatchesExact is the central contract: on every fixture,
+// every k and every index variant, QueryTopKCtx returns exactly TopK over
+// the full solve, nodes, order and scores. The block bound is built from
+// the stored factors, so approximate and Laplacian indexes must reach the
+// block-pruned solve too.
 func TestHybridTopKMatchesExact(t *testing.T) {
 	fixtures := topKFixtures(42)
 	if len(fixtures) != 11 {
 		t.Fatalf("fixture suite has %d graphs, want 11", len(fixtures))
 	}
-	pruned := 0
-	for name, g := range fixtures {
-		d, err := NewDynamic(g, Options{})
-		if err != nil {
-			t.Fatalf("%s: preprocess: %v", name, err)
-		}
-		n := g.N()
-		seeds := []int{0, n / 2, n - 1}
-		for _, seed := range seeds {
-			exact, err := d.Query(seed)
-			if err != nil {
-				t.Fatalf("%s seed %d: exact query: %v", name, seed, err)
-			}
-			for _, k := range []int{1, 10, 100} {
-				want := TopK(exact, k)
-				res, err := d.QueryTopK(seed, k)
+	variants := []struct {
+		name string
+		opts Options
+	}{
+		{"exact", Options{}},
+		{"approx", Options{DropTol: 1e-6}},
+		{"laplacian", Options{Laplacian: true}},
+	}
+	for _, vt := range variants {
+		t.Run(vt.name, func(t *testing.T) {
+			blockPruned := 0
+			for name, g := range fixtures {
+				d, err := NewDynamic(g, vt.opts)
 				if err != nil {
-					t.Fatalf("%s seed %d k %d: hybrid: %v", name, seed, k, err)
+					t.Fatalf("%s: preprocess: %v", name, err)
 				}
-				label := name + " hybrid-vs-exact"
-				sameSet(t, res.Nodes, want, label)
-				if res.Stats.Pruned {
-					pruned++
-					if res.Stats.Fallback != "" {
-						t.Fatalf("%s: pruned result carries fallback reason %q", label, res.Stats.Fallback)
+				n := g.N()
+				for _, seed := range []int{0, n / 2, n - 1} {
+					exact, err := d.Query(seed)
+					if err != nil {
+						t.Fatalf("%s seed %d: exact query: %v", name, seed, err)
 					}
-					// Certified scores are push lower bounds within the
-					// reported residual of exact.
-					for i, v := range res.Nodes {
-						est := res.Scores[i]
-						if est > exact[v]+1e-9 || exact[v] > est+res.Stats.Residual+1e-9 {
-							t.Fatalf("%s: node %d estimate %g outside [exact−R, exact] for exact %g, R %g",
-								label, v, est, exact[v], res.Stats.Residual)
+					for _, k := range []int{1, 10, 100} {
+						res, err := d.QueryTopK(seed, k)
+						if err != nil {
+							t.Fatalf("%s seed %d k %d: %v", name, seed, k, err)
 						}
-					}
-				} else {
-					// A hub seed may legitimately solve zero spoke blocks
-					// (the whole top-k can live among the exactly-solved
-					// hubs), so the accounting check is solved+skipped.
-					if res.Stats.Fallback == "" && res.Stats.BlocksSolved+res.Stats.BlocksSkipped == 0 {
-						t.Fatalf("%s: unpruned result reports neither a fallback reason nor block-pruned accounting: %+v", label, res.Stats)
-					}
-					// Exact-path scores and order must match TopK exactly —
-					// both for full-solve fallbacks and for the block-pruned
-					// solve, whose computed entries are bit-identical.
-					for i, v := range res.Nodes {
-						if v != want[i] || res.Scores[i] != exact[v] {
-							t.Fatalf("%s: fallback order/scores diverge at %d: node %d score %g, want node %d score %g",
-								label, i, v, res.Scores[i], want[i], exact[want[i]])
+						checkTopKAnswer(t, res, exact, k, fmt.Sprintf("%s seed %d k %d", name, seed, k))
+						if res.Stats.Fallback == "" {
+							blockPruned++
 						}
 					}
 				}
 			}
-		}
+			if blockPruned == 0 {
+				t.Fatal("no fixture/seed/k combination reached the block-pruned solve")
+			}
+			t.Logf("block-pruned %d of %d queries", blockPruned, len(fixtures)*3*3)
+		})
 	}
-	if pruned == 0 {
-		t.Fatal("no fixture/seed/k combination certified from push bounds; the hybrid path never pruned")
-	}
-	t.Logf("pruned %d of %d hybrid queries", pruned, len(fixtures)*3*3)
 }
 
-// TestHybridTopKPrunesWellSeparated pins the pruning behavior on a case
-// where the gap is structural: in the star graph the seed's own restart
-// mass dwarfs every other score, so k=1 must certify without the exact
-// solve.
-func TestHybridTopKPrunesWellSeparated(t *testing.T) {
+// TestHybridTopKNoThreshold pins the guard on the email-like star graph:
+// 12 hubs and 250 one-node spoke blocks. At k=50 the hubs and the seed's
+// block hold fewer than k scores, so no threshold exists before pruning
+// and the full solve answers; at k=10 the block-pruned solve answers and
+// skips blocks. Both answers are the full solve's, bit for bit.
+func TestHybridTopKNoThreshold(t *testing.T) {
 	g := gen.StarMail(gen.StarMailConfig{Core: 12, Periphery: 250, LeafDeg: 2, PCore: 0.4, Seed: 47})
 	d, err := NewDynamic(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.QueryTopK(3, 1)
-	if err != nil {
-		t.Fatal(err)
+	p := d.Precomputed()
+	if p.N2 != 12 || len(p.BlockOffsets)-1 != 250 {
+		t.Fatalf("fixture has n2=%d and %d blocks, want 12 and 250", p.N2, len(p.BlockOffsets)-1)
 	}
-	if !res.Stats.Pruned {
-		t.Fatalf("k=1 on a hub seed fell back (%s) despite a structural gap", res.Stats.Fallback)
-	}
-	if len(res.Nodes) != 1 || res.Nodes[0] != 3 {
-		t.Fatalf("top-1 for seed 3 is %v, want the seed itself", res.Nodes)
-	}
-	if res.Stats.Pushes == 0 || res.Stats.Rounds == 0 {
-		t.Fatalf("pruned result reports no push work: %+v", res.Stats)
+	for _, seed := range []int{3, 100, g.N() - 1} {
+		exact, err := d.Query(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.QueryTopK(seed, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Fallback != TopKFallbackNoThreshold {
+			t.Fatalf("seed %d k=50: stats %+v, want fallback %q", seed, res.Stats, TopKFallbackNoThreshold)
+		}
+		checkTopKAnswer(t, res, exact, 50, fmt.Sprintf("seed %d k=50", seed))
+
+		res, err = d.QueryTopK(seed, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Fallback != "" || res.Stats.BlocksSkipped == 0 {
+			t.Fatalf("seed %d k=10: stats %+v, want the block-pruned solve skipping blocks", seed, res.Stats)
+		}
+		checkTopKAnswer(t, res, exact, 10, fmt.Sprintf("seed %d k=10", seed))
 	}
 }
 
-// TestHybridTopKBlockPruning checks the block-pruned exact path on a
-// block-rich graph: when push cannot certify, the solve must skip a
-// nontrivial number of spoke blocks while still returning the exact set,
-// order, and bit-identical scores.
+// TestHybridTopKBlockPruning checks the block-pruned solve on a
+// block-rich graph: it must skip a nontrivial number of spoke blocks while
+// still returning the exact nodes, order, and bit-identical scores.
 func TestHybridTopKBlockPruning(t *testing.T) {
 	g := gen.CavemanHubs(gen.CavemanHubsConfig{
 		Communities: 40, Size: 30, PIntra: 0.4, Hubs: 4, HubDeg: 25, Seed: 5,
@@ -178,9 +173,6 @@ func TestHybridTopKBlockPruning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Pruned {
-			continue // push certified; nothing block-level to check
-		}
 		if res.Stats.Fallback != "" {
 			t.Fatalf("seed %d: unexpected fallback %q", seed, res.Stats.Fallback)
 		}
@@ -190,13 +182,7 @@ func TestHybridTopKBlockPruning(t *testing.T) {
 		if res.Stats.BlocksSkipped > 0 {
 			sawSkip = true
 		}
-		want := TopK(exact, 10)
-		for i, v := range res.Nodes {
-			if v != want[i] || res.Scores[i] != exact[v] {
-				t.Fatalf("seed %d: diverges at %d: node %d score %g, want node %d score %g",
-					seed, i, v, res.Scores[i], want[i], exact[want[i]])
-			}
-		}
+		checkTopKAnswer(t, res, exact, 10, fmt.Sprintf("seed %d", seed))
 	}
 	if !sawSkip {
 		t.Fatal("no seed skipped any block on a 40-community graph; the bound never pruned")
@@ -215,25 +201,11 @@ func TestHybridTopKFallbackReasons(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Pruned || res.Stats.Fallback != wantReason {
+		if res.Stats.Fallback != wantReason {
 			t.Fatalf("stats %+v, want fallback %q", res.Stats, wantReason)
 		}
-		sameSet(t, res.Nodes, TopK(exact, k), "fallback "+wantReason)
+		checkTopKAnswer(t, res, exact, k, "fallback "+wantReason)
 	}
-	t.Run("approx", func(t *testing.T) {
-		d, err := NewDynamic(g, Options{DropTol: 1e-6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, d, TopKFallbackApprox, 10)
-	})
-	t.Run("laplacian", func(t *testing.T) {
-		d, err := NewDynamic(g, Options{Laplacian: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, d, TopKFallbackLaplacian, 10)
-	})
 	t.Run("pending", func(t *testing.T) {
 		d, err := NewDynamic(g, Options{})
 		if err != nil {
@@ -249,7 +221,7 @@ func TestHybridTopKFallbackReasons(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, d, TopKFallbackAllNodes, g.N()+5)
+		check(t, d, TopKFallbackNoThreshold, g.N()+5)
 	})
 	t.Run("bad-args", func(t *testing.T) {
 		d, err := NewDynamic(g, Options{})
@@ -268,8 +240,9 @@ func TestHybridTopKFallbackReasons(t *testing.T) {
 	})
 }
 
-// TestHybridTopKConcurrent interleaves hybrid queries with edge updates to
-// exercise the normalized-adjacency cache under the race detector.
+// TestHybridTopKConcurrent interleaves top-k queries with edge updates, so
+// the race detector sees queries move between the block-pruned and the
+// pending-updates paths while the index state changes under them.
 func TestHybridTopKConcurrent(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, 31)
 	d, err := NewDynamic(g, Options{})

@@ -3,20 +3,22 @@ package core
 // Block-pruned single-seed top-k back-substitution. The full exact solve
 // spends most of its time in backSolve's L₁⁻¹/U₁⁻¹ products over every
 // spoke block, yet a top-k query only needs exact scores for blocks that
-// can plausibly reach rank k. Because H is an M-matrix, each block's
-// solution admits a certified a-priori bound from quantities that are
-// cheap to precompute:
+// can plausibly reach rank k. Each block's solution admits a certified
+// a-priori bound from quantities that are cheap to precompute:
 //
 //	x₁ᵢ = U₁ᵢ⁻¹ L₁ᵢ⁻¹ zᵢ  ⇒  ‖x₁ᵢ‖_∞ ≤ ‖x₁ᵢ‖₁ ≤ Σ_j |zᵢ[j]| · ν[j],
 //
 // where ν[j] ≥ ‖U₁ᵢ⁻¹ L₁ᵢ⁻¹ e_j‖₁ is a per-column bound on the ℓ₁ mass of
 // the block factors' response to a unit impulse, computed once per index
-// from the stored factors (see topKColBounds). Blocks whose bound falls
+// from the stored factors (see topKColBounds). The bound is the triangle
+// inequality over the factors as stored, so it holds whatever their signs
+// and whatever entries a drop tolerance removed: approximate and Laplacian
+// indexes prune exactly like exact ones. Blocks whose bound falls
 // strictly below the current k-th best exact score cannot contain a top-k
 // node and their two triangular products are skipped outright; every score
 // that is computed runs through the same kernels in the same order as the
 // full solve, so computed entries are bit-identical and the returned top-k
-// set provably equals TopK(full exact solve, k).
+// equals TopK(full exact solve, k) in nodes, order and scores.
 
 import (
 	"context"
@@ -129,6 +131,20 @@ func (q *topKIDHeap) theta() (float64, bool) {
 		return 0, false
 	}
 	return q.scores[q.h[0]], true
+}
+
+// topKKnown counts the scores the block-pruned solve computes before its
+// first pruning decision: the n₂ hubs plus the seed's own block (none for
+// a hub seed). For k above it no k-th best score θ exists at the filter
+// pass, so every block with a nonzero bound survives to be ordered and
+// solved; QueryTopKCtx runs the full solve instead.
+func (p *Precomputed) topKKnown(seed int) int {
+	known := p.N2
+	if pos := p.Perm[seed]; pos < p.N1 {
+		bi := p.blockOfPos(pos)
+		known += p.BlockOffsets[bi+1] - p.BlockOffsets[bi]
+	}
+	return known
 }
 
 // solveSeedTopKCtx answers a single-seed top-k query with the block-pruned

@@ -30,16 +30,15 @@ import (
 var nextGen atomic.Uint64
 
 // answer is one cached ranked answer: the top entries for the requested
-// count (top or k is part of the cache key). A hybrid top-k answer also
-// records how it was computed, so hits report the same pruned/fallback
-// fields the original solve did.
+// count (top or k is part of the cache key). A top-k answer also records
+// why the full solve ran, if it did, so hits report the same fallback
+// field the original solve did.
 type answer struct {
 	results  []ScoredNode
-	pruned   bool
 	fallback string
 }
 
-func (a *answer) CacheBytes() int64 { return int64(len(a.results))*24 + 48 }
+func (a *answer) CacheBytes() int64 { return int64(len(a.results))*24 + 40 }
 
 // borrowVec lends an n-length score vector from e's pool; its contents are
 // arbitrary. Return it with e.vecs.Put once nothing reads it: a cache miss

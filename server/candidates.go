@@ -1,10 +1,11 @@
 package server
 
-// The link-prediction workload: GET /topk answers hybrid top-k queries
-// (local-push bounds pruning the exact solve when they certify the set),
-// and POST /candidates ranks per-seed link-prediction candidates — top-k
-// by RWR score excluding the seed and its existing out-neighbors — through
-// the result cache and the blocked multi-RHS batch solver.
+// The link-prediction workload: GET /topk answers top-k queries through
+// the block-pruned solve (spoke blocks whose certified bound cannot reach
+// rank k are never back-substituted), and POST /candidates ranks per-seed
+// link-prediction candidates — top-k by RWR score excluding the seed and
+// its existing out-neighbors — through the result cache and the blocked
+// multi-RHS batch solver.
 
 import (
 	"context"
@@ -38,10 +39,9 @@ func parseK(r *http.Request, n int) (int, error) {
 }
 
 // handleTopK answers GET /v1/graphs/{name}/topk?seed=<id>&k=<count> with
-// the top-k nodes by exact RWR score. The solve is the hybrid path: the
-// node set is always identical to ranking the full exact solve, but when
-// the push bound certifies the set early the exact solve is skipped
-// entirely (response field "pruned", metric bear_topk_pruned_total).
+// the top-k nodes by exact RWR score, bit-identical to /query with top=k.
+// The block-pruned solve usually answers; when the full solve ran instead,
+// the response's "fallback" field names why.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e, ok := s.lookup(name)
@@ -75,27 +75,23 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		if res.Stats.Pruned {
-			s.metrics().topkPruned.Inc()
-		}
 		out := make([]ScoredNode, len(res.Nodes))
 		for i, node := range res.Nodes {
 			out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
 		}
-		return &answer{results: out, pruned: res.Stats.Pruned, fallback: res.Stats.Fallback}, nil
+		return &answer{results: out, fallback: res.Stats.Fallback}, nil
 	})
 	if err != nil {
 		writeError(w, queryError(err))
 		return
 	}
-	s.logSlow("topk", name, fmt.Sprintf("seed=%d k=%d pruned=%v", seed, k, res.pruned),
+	s.logSlow("topk", name, fmt.Sprintf("seed=%d k=%d", seed, k),
 		status, time.Since(start), tr)
 	w.Header().Set("X-Cache", status)
 	resp := map[string]interface{}{
 		"graph":   name,
 		"seed":    seed,
 		"k":       k,
-		"pruned":  res.pruned,
 		"results": res.results,
 	}
 	if res.fallback != "" {

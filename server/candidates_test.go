@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,17 +38,20 @@ func TestTopKEndpoint(t *testing.T) {
 		if len(results) != len(want) {
 			t.Fatalf("seed %d: %d results, want %d", seed, len(results), len(want))
 		}
-		gotSet := map[int]bool{}
-		for _, it := range results {
-			gotSet[int(it.(map[string]interface{})["node"].(float64))] = true
-		}
-		for _, node := range want {
-			if !gotSet[node] {
-				t.Fatalf("seed %d: exact top-5 node %d missing from %v", seed, node, gotSet)
+		for i, it := range results {
+			r := it.(map[string]interface{})
+			node, score := int(r["node"].(float64)), r["score"].(float64)
+			if node != want[i] || score != exact[node] {
+				t.Fatalf("seed %d rank %d: node %d score %g, want node %d score %g",
+					seed, i, node, score, want[i], exact[want[i]])
 			}
 		}
-		if _, ok := out["pruned"].(bool); !ok {
-			t.Fatalf("seed %d: response has no boolean pruned field: %v", seed, out)
+		if _, ok := out["pruned"]; ok {
+			t.Fatalf("seed %d: response still carries the removed pruned field: %v", seed, out)
+		}
+		q := doJSON(t, "GET", fmt.Sprintf("%s/v1/graphs/g/query?seed=%d&top=5", ts.URL, seed), "", http.StatusOK)
+		if !reflect.DeepEqual(q["results"], out["results"]) {
+			t.Fatalf("seed %d: /topk results %v differ from /query top=5 %v", seed, out["results"], q["results"])
 		}
 	}
 }
@@ -197,7 +201,7 @@ func TestTopKMetricCounts(t *testing.T) {
 	if !strings.Contains(body, "bear_candidates_requests_total 1") {
 		t.Errorf("metrics missing bear_candidates_requests_total 1")
 	}
-	if !strings.Contains(body, "bear_topk_pruned_total") {
-		t.Errorf("metrics missing bear_topk_pruned_total series")
+	if strings.Contains(body, "bear_topk_pruned_total") {
+		t.Errorf("metrics still export the removed bear_topk_pruned_total series")
 	}
 }

@@ -39,7 +39,6 @@ type serverMetrics struct {
 	refineSweeps   *obsv.Counter
 	refineResidual *obsv.Histogram
 
-	topkPruned         *obsv.Counter
 	candidatesRequests *obsv.Counter
 
 	mu        sync.Mutex
@@ -81,8 +80,6 @@ func (s *Server) metrics() *serverMetrics {
 		m.refineResidual = reg.Histogram("bear_refine_residual",
 			"Final score-level residual infinity-norm of refined queries.", obsv.ResidualBuckets)
 
-		m.topkPruned = reg.Counter("bear_topk_pruned_total",
-			"Hybrid top-k solves certified from local-push bounds alone, skipping the exact block-elimination solve. Cache hits are not re-counted.")
 		m.candidatesRequests = reg.Counter("bear_candidates_requests_total",
 			"Link-prediction candidate requests served (POST /candidates), counted before validation.")
 

@@ -72,7 +72,9 @@ type Options = core.Options
 // QueryDist, QueryBatch and QueryRefined are the allocating convenience
 // forms. Single-seed queries additionally take a block-restricted path
 // (bit-identical to the unrestricted one) that confines the forward half
-// of Algorithm 2 to the seed's diagonal block.
+// of Algorithm 2 to the seed's diagonal block. A seed whose block has no
+// edge into the hubs is answered by that forward half alone, again
+// bit-identically.
 type Precomputed = core.Precomputed
 
 // Workspace holds the scratch vectors one BEAR solve needs. Acquire one

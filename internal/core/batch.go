@@ -30,14 +30,15 @@ func (p *Precomputed) QueryBatch(seeds []int, workers int) ([][]float64, error) 
 
 // QueryBatchToCtx computes RWR vectors for many seeds into caller-owned
 // dst (indexed like seeds, each vector of length N), honoring
-// cancellation and deadlines on ctx. Seeds sharing a diagonal block are
-// grouped into chunks of the batch width; each chunk is one blocked
-// solve (one factor traversal per stage for the whole chunk), and chunks
-// fan out over workers goroutines (0 selects GOMAXPROCS), each holding one
-// workspace for its whole share. Precomputed is read-only during queries,
-// so the workers share it without locking. Cancellation is observed
-// between chunks and between the stages inside each; undone work is
-// abandoned and the first context error returned.
+// cancellation and deadlines on ctx. Seeds in isolated blocks, which reach
+// no hub, are answered first, one at a time (solveIsolated). The rest are
+// grouped by diagonal block into chunks of the batch width; each chunk is
+// one blocked solve (one factor traversal per stage for the whole chunk),
+// and chunks fan out over workers goroutines (0 selects GOMAXPROCS), each
+// holding one workspace for its whole share. Precomputed is read-only
+// during queries, so the workers share it without locking. Cancellation
+// is observed between seeds, between chunks and between the stages inside
+// each; undone work is abandoned and the first context error returned.
 func (p *Precomputed) QueryBatchToCtx(ctx context.Context, dst [][]float64, seeds []int, workers int) error {
 	if len(dst) != len(seeds) {
 		return fmt.Errorf("core: %d destinations for %d seeds", len(dst), len(seeds))
@@ -54,7 +55,10 @@ func (p *Precomputed) QueryBatchToCtx(ctx context.Context, dst [][]float64, seed
 		return nil
 	}
 
-	order := p.seedOrder(seeds)
+	order, err := p.answerIsolated(ctx, dst, seeds, p.seedOrder(seeds))
+	if err != nil || len(order) == 0 {
+		return err
+	}
 	pos := make([]int, len(order))
 	for i, ii := range order {
 		pos[i] = p.Perm[seeds[ii]]
@@ -121,6 +125,31 @@ feed:
 		return err
 	}
 	return firstErr
+}
+
+// answerIsolated answers the seeds of order (batch indices) that lie in
+// isolated blocks into dst and returns the others, in order, so every
+// batch chunk carries only seeds whose r₂ ≠ 0. It reuses order's storage.
+func (p *Precomputed) answerIsolated(ctx context.Context, dst [][]float64, seeds, order []int) ([]int, error) {
+	rest := order[:0]
+	var ws *Workspace
+	for _, ii := range order {
+		pos := p.Perm[seeds[ii]]
+		bi, ok := p.isolatedBlock(pos)
+		if !ok {
+			rest = append(rest, ii)
+			continue
+		}
+		if ws == nil {
+			ws = p.AcquireWorkspace()
+			defer p.ReleaseWorkspace(ws)
+		}
+		lo, hi := p.loadBlockSeed(ws, bi, pos, 1)
+		if err := p.solveIsolated(ctx, dst[ii], lo, hi, p.C, ws); err != nil {
+			return nil, err
+		}
+	}
+	return rest, nil
 }
 
 // seedOrder returns the batch indices reordered so seeds sharing a

@@ -201,15 +201,48 @@ type Precomputed struct {
 	// the first top-k query; derived, never serialized.
 	topkOnce sync.Once
 	topkNu   []float64
+
+	// isolated holds one bit per diagonal block of H₁₁, set when the
+	// stored H₂₁ has no entry in the block's columns: no right-hand side
+	// supported on the block reaches a hub (see solveIsolated). Derived by
+	// initDerived, never serialized.
+	isolated []uint64
 }
 
 // initDerived fills the fields computed from the serialized ones; it must
-// run after Blocks is final (both Preprocess and Load call it).
+// run after Blocks and H₂₁ are final (Preprocess, Load and the incremental
+// rebuild call it).
 func (p *Precomputed) initDerived() {
 	p.BlockOffsets = make([]int, len(p.Blocks)+1)
 	for i, sz := range p.Blocks {
 		p.BlockOffsets[i+1] = p.BlockOffsets[i] + sz
 	}
+	p.isolated = make([]uint64, (len(p.Blocks)+63)/64)
+	for bi := range p.Blocks {
+		p.isolated[bi/64] |= 1 << (bi % 64)
+	}
+	if p.H21 != nil {
+		for _, j := range p.H21.ColIdx {
+			bi := p.blockOfPos(j)
+			p.isolated[bi/64] &^= 1 << (bi % 64)
+		}
+	}
+}
+
+// isolatedBlock returns the diagonal block of the spoke at internal
+// position pos and whether that block is isolated: H₂₁ stores no entry in
+// its columns. Hubs are never isolated.
+func (p *Precomputed) isolatedBlock(pos int) (int, bool) {
+	if pos >= p.N1 {
+		return -1, false
+	}
+	bi := p.blockOfPos(pos)
+	return bi, p.blockIsolated(bi)
+}
+
+// blockIsolated reports whether diagonal block bi is isolated.
+func (p *Precomputed) blockIsolated(bi int) bool {
+	return p.isolated[bi/64]&(1<<(bi%64)) != 0
 }
 
 // initKernels builds the kernel-layer views of the factor matrices; it

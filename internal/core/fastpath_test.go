@@ -13,13 +13,15 @@ import (
 	"bear/internal/graph/gen"
 )
 
-// generalQuery computes a seed query through the unrestricted forward
-// stage, bypassing the single-seed dispatch in solveToCtx. It is the
-// reference the fast path must match bit-for-bit.
+// generalQuery computes a seed query through the unrestricted pipeline
+// (loadDense + solveLoaded), bypassing the single-seed dispatch in
+// solveToCtx and the isolated-seed shortcut. It is the reference the fast
+// paths must match bit-for-bit.
 func generalQuery(p *Precomputed, q []float64) []float64 {
 	dst := make([]float64, p.N)
 	ws := p.AcquireWorkspace()
-	if err := p.solveDenseTo(context.Background(), dst, q, 1, ws); err != nil {
+	p.loadDense(ws, q)
+	if err := p.solveLoaded(context.Background(), ws, nil, [][]float64{dst}, []int{0}, 1); err != nil {
 		panic(err)
 	}
 	p.ReleaseWorkspace(ws)
@@ -181,6 +183,15 @@ func TestQueryToZeroAllocs(t *testing.T) {
 			break
 		}
 	}
+	// The caveman fixture has no isolated seed; an rmat one supplies it.
+	iso, err := Preprocess(testGraphs(1)["rmat"], Options{})
+	if err != nil {
+		t.Fatalf("Preprocess: %v", err)
+	}
+	isoSeed := firstIsolatedSeed(t, iso)
+	isoWS := iso.AcquireWorkspace()
+	defer iso.ReleaseWorkspace(isoWS)
+	isoDst := make([]float64, iso.N)
 	var qerr error
 	ctx := context.Background()
 	cases := []struct {
@@ -189,6 +200,7 @@ func TestQueryToZeroAllocs(t *testing.T) {
 	}{
 		{"QueryToCtx/spoke", func() { qerr = p.QueryToCtx(ctx, dst, 1, ws) }},
 		{"QueryToCtx/hub", func() { qerr = p.QueryToCtx(ctx, dst, hub, ws) }},
+		{"QueryToCtx/isolated", func() { qerr = iso.QueryToCtx(ctx, isoDst, isoSeed, isoWS) }},
 		{"QueryDistToCtx/general", func() { qerr = p.QueryDistToCtx(ctx, dst, q, ws) }},
 	}
 	for _, c := range cases {
@@ -244,6 +256,35 @@ func TestDynamicQueryToZeroAllocs(t *testing.T) {
 		}
 		if qerr != nil {
 			t.Fatalf("QueryToCtx seed %d: %v", seed, qerr)
+		}
+	}
+
+	// An isolated seed (the caveman fixture has none) answers from its own
+	// block: QueryToCtx stays at 0 allocs/op, and its top-k allocates only
+	// the result and its two slices.
+	iso, err := NewDynamic(testGraphs(1)["rmat"], Options{})
+	if err != nil {
+		t.Fatalf("NewDynamic: %v", err)
+	}
+	isoSeed := firstIsolatedSeed(t, iso.Precomputed())
+	isoDst := make([]float64, iso.Precomputed().N)
+	var qerr error
+	fn := func() { qerr = iso.QueryToCtx(ctx, isoDst, isoSeed) }
+	fn()
+	if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
+		t.Errorf("QueryToCtx isolated seed %d: %v allocs/op, want 0", isoSeed, allocs)
+	}
+	if qerr != nil {
+		t.Fatalf("QueryToCtx isolated seed %d: %v", isoSeed, qerr)
+	}
+	for _, k := range []int{1, 10, 100} {
+		fn := func() { _, qerr = iso.QueryTopKCtx(ctx, isoSeed, k) }
+		fn()
+		if allocs := testing.AllocsPerRun(50, fn); allocs > 3 {
+			t.Errorf("QueryTopKCtx isolated seed %d k=%d: %v allocs/op, want ≤ 3 (result, nodes, scores)", isoSeed, k, allocs)
+		}
+		if qerr != nil {
+			t.Fatalf("QueryTopKCtx isolated seed %d k=%d: %v", isoSeed, k, qerr)
 		}
 	}
 }
@@ -358,55 +399,70 @@ func TestWorkspaceReleaseMismatch(t *testing.T) {
 
 // TestConcurrentBatchAndQueryToRace hammers the shared workspace pool from
 // QueryBatch and explicit per-goroutine workspaces at once; run with -race
-// this is the data-race gate for the pooled query engine.
+// this is the data-race gate for the pooled query engine. The rmat
+// fixture's batches mix isolated and non-isolated seeds, and its
+// single-seed workers query an isolated seed.
 func TestConcurrentBatchAndQueryToRace(t *testing.T) {
-	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 8, Size: 15, PIntra: 0.3, Hubs: 4, HubDeg: 15, Seed: 97})
-	p, err := Preprocess(g, Options{K: 3})
-	if err != nil {
-		t.Fatalf("Preprocess: %v", err)
-	}
-	want, err := p.Query(2)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	seeds := make([]int, 24)
-	for i := range seeds {
-		seeds[i] = (i * 11) % p.N
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if w%2 == 0 {
-				for rep := 0; rep < 5; rep++ {
-					if _, err := p.QueryBatch(seeds, 3); err != nil {
-						errs <- err
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"caveman", gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 8, Size: 15, PIntra: 0.3, Hubs: 4, HubDeg: 15, Seed: 97})},
+		{"rmat", testGraphs(1)["rmat"]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Preprocess(tc.g, Options{K: 3})
+			if err != nil {
+				t.Fatalf("Preprocess: %v", err)
+			}
+			seed := 2
+			if tc.name == "rmat" {
+				seed = firstIsolatedSeed(t, p)
+			}
+			want, err := p.Query(seed)
+			if err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			seeds := make([]int, 24)
+			for i := range seeds {
+				seeds[i] = (i * 11) % p.N
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, 16)
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					if w%2 == 0 {
+						for rep := 0; rep < 5; rep++ {
+							if _, err := p.QueryBatch(seeds, 3); err != nil {
+								errs <- err
+								return
+							}
+						}
 						return
 					}
-				}
-				return
+					ws := p.AcquireWorkspace()
+					defer p.ReleaseWorkspace(ws)
+					dst := make([]float64, p.N)
+					for rep := 0; rep < 40; rep++ {
+						if err := p.QueryToCtx(context.Background(), dst, seed, ws); err != nil {
+							errs <- err
+							return
+						}
+						if maxAbsDiff(dst, want) != 0 {
+							errs <- errNondeterministic
+							return
+						}
+					}
+				}(w)
 			}
-			ws := p.AcquireWorkspace()
-			defer p.ReleaseWorkspace(ws)
-			dst := make([]float64, p.N)
-			for rep := 0; rep < 40; rep++ {
-				if err := p.QueryToCtx(context.Background(), dst, 2, ws); err != nil {
-					errs <- err
-					return
-				}
-				if maxAbsDiff(dst, want) != 0 {
-					errs <- errNondeterministic
-					return
-				}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+		})
 	}
 }
 

@@ -24,6 +24,10 @@ import (
 //     here, or over the blocks the top-k bound selects (topksolve.go);
 //   - scatter: (r₁ ‖ r₂) back to graph node order, times a scale factor.
 //
+// A right-hand side that never reaches a hub skips every stage after the
+// forward one (solveIsolated): b₂ = 0 and all of b₁'s support lies in
+// isolated blocks, whose columns hold no H₂₁ entry.
+//
 // Skipped terms are exact zeros and every column is accumulated in the
 // single-vector kernels' order, so all shapes are bit-identical to the
 // unrestricted solve (asserted with == in the tests). Width 1 runs the
@@ -97,17 +101,95 @@ func (p *Precomputed) loadDense(ws *Workspace, b []float64) {
 // solveSeedTo computes scale·H⁻¹(val·e) into dst for the node at internal
 // position pos.
 func (p *Precomputed) solveSeedTo(ctx context.Context, dst []float64, pos int, val, scale float64, ws *Workspace) error {
+	if bi, ok := p.isolatedBlock(pos); ok {
+		lo, hi := p.loadBlockSeed(ws, bi, pos, val)
+		return p.solveIsolated(ctx, dst, lo, hi, scale, ws)
+	}
 	at, col := [1]int{pos}, [1]int{0}
 	p.loadSeeds(ws, at[:], val)
 	return p.solveLoaded(ctx, ws, at[:], [][]float64{dst}, col[:], scale)
 }
 
 // solveDenseTo computes scale·H⁻¹b into dst with the unrestricted forward
-// stage, whatever b's support. dst may alias b.
+// stage, whatever b's support; a b that reaches no hub stops after it
+// (solveIsolated). dst may alias b.
 func (p *Precomputed) solveDenseTo(ctx context.Context, dst, b []float64, scale float64, ws *Workspace) error {
 	col := [1]int{0}
 	p.loadDense(ws, b)
+	if p.loadedIsolated(ws) {
+		return p.solveIsolated(ctx, dst, 0, p.N1, scale, ws)
+	}
 	return p.solveLoaded(ctx, ws, nil, [][]float64{dst}, col[:], scale)
+}
+
+// loadedIsolated reports whether the dense right-hand side loaded in ws
+// reaches no hub: b₂ = 0 and b₁ is zero on every block that is not
+// isolated. It reads b once.
+func (p *Precomputed) loadedIsolated(ws *Workspace) bool {
+	for _, v := range ws.full[p.N1:p.N] {
+		if v != 0 {
+			return false
+		}
+	}
+	for bi := range p.Blocks {
+		if p.blockIsolated(bi) {
+			continue
+		}
+		for _, v := range ws.full[p.BlockOffsets[bi]:p.BlockOffsets[bi+1]] {
+			if v != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// loadBlockSeed loads val·e at internal position pos into the rows
+// [lo, hi) of its diagonal block bi in ws.full and returns that range.
+// Rows outside it keep whatever they held: the block-restricted products
+// read only the block's rows.
+func (p *Precomputed) loadBlockSeed(ws *Workspace, bi, pos int, val float64) (lo, hi int) {
+	lo, hi = p.BlockOffsets[bi], p.BlockOffsets[bi+1]
+	clear(ws.full[lo:hi])
+	ws.full[pos] = val
+	return lo, hi
+}
+
+// solveIsolated answers a right-hand side that reaches no hub, loaded in
+// ws with its b₁ support inside spoke rows [lo, hi): dst = scale·t on
+// those rows and +0 everywhere else, for t = U₁⁻¹L₁⁻¹b₁. It is exactly
+// what the full pipeline returns. H₂₁ stores nothing in the support's
+// columns, so H₂₁t = +0 and b₂ − H₂₁t = +0; the Schur products then
+// return r₂ = +0, since every kernel accumulates from +0; z = b₁ − H₁₂·0
+// equals b₁ bit for bit; and the back-substitution recomputes t with the
+// same kernels on the same inputs. So the Schur stage, the H₁₂ product
+// and the second pair of triangular products are skipped, and the trace
+// shows forward_solve alone.
+func (p *Precomputed) solveIsolated(ctx context.Context, dst []float64, lo, hi int, scale float64, ws *Workspace) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	defer obsv.FromContext(ctx).Start(obsv.SpanForwardSolve).Stop()
+	t := p.forwardIsolated(ws, lo, hi)
+	clear(dst)
+	for j := lo; j < hi; j++ {
+		dst[p.InvPerm[j]] = t[j] * scale
+	}
+	return nil
+}
+
+// forwardIsolated computes rows [lo, hi) of t = U₁⁻¹L₁⁻¹b₁ for the b₁
+// loaded in ws.full and returns t, an n₁-length view of ws.s1b.
+func (p *Precomputed) forwardIsolated(ws *Workspace, lo, hi int) []float64 {
+	b, t1, t := ws.full[:p.N1], ws.s1a[:p.N1], ws.s1b[:p.N1]
+	if lo == 0 && hi == p.N1 {
+		mul(p.kern.l1inv, t1, b, 1)
+		mul(p.kern.u1inv, t, t1, 1)
+	} else {
+		mulRange(p.kern.l1inv, t1, b, 1, lo, hi)
+		mulRange(p.kern.u1inv, t, t1, 1, lo, hi)
+	}
+	return t
 }
 
 // solveToCtx computes scale·H⁻¹b into dst for b indexed by node id. A

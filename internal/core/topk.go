@@ -56,8 +56,10 @@ func (d *Dynamic) QueryTopK(seed, k int) (*TopKResult, error) {
 // block a certified upper bound on its best attainable score, and
 // back-substitutes only blocks whose bound can still reach rank k
 // (Lemma 1's block restriction, driven by the bound instead of structural
-// zeros). Its answer is bit-identical to TopK over the full solve, nodes,
-// order and scores. The full solve answers instead when updates are
+// zeros). A seed whose block is isolated (no edge into the hubs) scores
+// nothing outside its block, so its block's scores are ranked directly,
+// for any k. Either answer is bit-identical to TopK over the full solve,
+// nodes, order and scores. The full solve answers instead when updates are
 // pending or when k exceeds the scores known before pruning starts, with
 // the reason in Stats.Fallback.
 //
@@ -77,9 +79,19 @@ func (d *Dynamic) QueryTopKCtx(ctx context.Context, seed, k int) (*TopKResult, e
 	}
 
 	var st TopKStats
+	bi, isolated := p.isolatedBlock(p.Perm[seed])
 	switch {
 	case pending:
 		st.Fallback = TopKFallbackPending
+	case isolated:
+		ws := p.AcquireWorkspace()
+		nodes, scores, err := p.solveIsolatedTopKCtx(ctx, seed, bi, k, ws)
+		p.ReleaseWorkspace(ws)
+		if err != nil {
+			return nil, err
+		}
+		st.BlocksSolved, st.BlocksSkipped = 1, len(p.Blocks)-1
+		return &TopKResult{Nodes: nodes, Scores: scores, Stats: st}, nil
 	case k > p.topKKnown(seed):
 		st.Fallback = TopKFallbackNoThreshold
 	default:

@@ -241,44 +241,55 @@ func TestHybridTopKFallbackReasons(t *testing.T) {
 }
 
 // TestHybridTopKConcurrent interleaves top-k queries with edge updates, so
-// the race detector sees queries move between the block-pruned and the
-// pending-updates paths while the index state changes under them.
+// the race detector sees queries move between the block-pruned, isolated
+// and pending-updates paths while the index state changes under them. The
+// rmat fixture supplies the isolated seeds.
 func TestHybridTopKConcurrent(t *testing.T) {
-	g := gen.BarabasiAlbert(200, 3, 31)
-	d, err := NewDynamic(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 25; i++ {
-				res, err := d.QueryTopK(rng.Intn(200), 5)
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-				if len(res.Nodes) != 5 {
-					t.Errorf("worker %d: got %d nodes", w, len(res.Nodes))
-					return
-				}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ba", gen.BarabasiAlbert(200, 3, 31)},
+		{"rmat", testGraphs(1)["rmat"]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.g.N()
+			d, err := NewDynamic(tc.g, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 10; i++ {
-			if err := d.AddEdge(i, (i*7+1)%200, float64(i+1)); err != nil {
-				t.Errorf("update: %v", err)
-				return
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < 25; i++ {
+						res, err := d.QueryTopK(rng.Intn(n), 5)
+						if err != nil {
+							t.Errorf("worker %d: %v", w, err)
+							return
+						}
+						if len(res.Nodes) != 5 {
+							t.Errorf("worker %d: got %d nodes", w, len(res.Nodes))
+							return
+						}
+					}
+				}(w)
 			}
-		}
-	}()
-	wg.Wait()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					if err := d.AddEdge(i, (i*7+1)%n, float64(i+1)); err != nil {
+						t.Errorf("update: %v", err)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+		})
+	}
 }
 
 // brute-force reference ranking sharing TopK's comparator, for parity

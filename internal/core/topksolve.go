@@ -23,6 +23,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"bear/internal/obsv"
@@ -270,4 +271,52 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 		scores[i] = dst[v]
 	}
 	return nodes, scores, solved, skipped, nil
+}
+
+// solveIsolatedTopKCtx answers a top-k query for a seed in isolated block
+// bi without an n-length score vector. The seed reaches no hub
+// (solveIsolated), so every node outside its block scores +0, and equal
+// scores rank by ascending id: the top k of the full solve are the top k
+// of the block's nodes plus the k lowest-id nodes outside it, ranked with
+// the same comparator. It allocates only the two result slices.
+func (p *Precomputed) solveIsolatedTopKCtx(ctx context.Context, seed, bi, k int, ws *Workspace) ([]int, []float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	defer obsv.FromContext(ctx).Start(obsv.SpanForwardSolve).Stop()
+	lo, hi := p.loadBlockSeed(ws, bi, p.Perm[seed], 1)
+	t := p.forwardIsolated(ws, lo, hi)
+
+	// ws.full is dead once t exists (t lives in ws.s1b), so it holds the
+	// candidates' scores by node id; no other entry of it is read.
+	k = min(k, p.N)
+	heap := topKIDHeap{scores: ws.full, h: make([]int, 0, k), k: k}
+	for j := lo; j < hi; j++ {
+		v := p.InvPerm[j]
+		ws.full[v] = p.C * t[j]
+		heap.push(v)
+	}
+	for v, zeros := 0, 0; zeros < k && v < p.N; v++ {
+		if at := p.Perm[v]; at >= lo && at < hi {
+			continue
+		}
+		ws.full[v] = 0
+		heap.push(v)
+		zeros++
+	}
+	nodes := heap.h
+	slices.SortFunc(nodes, func(a, b int) int {
+		switch {
+		case heap.worse(b, a):
+			return -1
+		case heap.worse(a, b):
+			return 1
+		}
+		return 0
+	})
+	scores := make([]float64, len(nodes))
+	for i, v := range nodes {
+		scores[i] = ws.full[v]
+	}
+	return nodes, scores, nil
 }

@@ -19,7 +19,8 @@ func countSpans(spans []obsv.Span) map[string]int {
 
 // TestQueryTracePropagation: a trace installed in the query context must
 // record every solver stage of Algorithm 2 exactly once per single-seed
-// query, for spoke and hub seeds alike.
+// query, for spoke and hub seeds alike. A seed whose block is isolated
+// reaches no hub and records forward_solve alone.
 func TestQueryTracePropagation(t *testing.T) {
 	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 6, Size: 15, PIntra: 0.3, Hubs: 4, HubDeg: 20, Seed: 7})
 	p, err := Preprocess(g, Options{})
@@ -71,6 +72,20 @@ func TestQueryTracePropagation(t *testing.T) {
 		if got[stage] != 1 {
 			t.Errorf("dist query: stage %s recorded %d times, want 1", stage, got[stage])
 		}
+	}
+
+	// The caveman fixture has no isolated seed; an rmat one supplies it.
+	iso, err := Preprocess(testGraphs(1)["rmat"], Options{})
+	if err != nil {
+		t.Fatalf("Preprocess: %v", err)
+	}
+	tr = obsv.NewTrace()
+	seed := firstIsolatedSeed(t, iso)
+	if err := iso.QueryToCtx(obsv.WithTrace(context.Background(), tr), make([]float64, iso.N), seed, nil); err != nil {
+		t.Fatalf("isolated QueryToCtx: %v", err)
+	}
+	if got := countSpans(tr.Spans()); got[obsv.SpanForwardSolve] != 1 || len(got) != 1 {
+		t.Errorf("isolated seed %d: spans %v, want forward_solve alone, once", seed, tr.Spans())
 	}
 }
 

@@ -141,9 +141,12 @@ func TopKCandidates(g *Graph, scores []float64, seed, k int) []int {
 	return core.TopKCandidates(g, scores, seed, k)
 }
 
-// TopKResult is the answer to Dynamic.QueryTopK / QueryTopKCtx: its nodes,
+// TopKResult is the answer to Dynamic.QueryTopK / QueryTopKCtx and, for a
+// weighted starting distribution, Dynamic.QueryDistTopKCtx: its nodes,
 // order and scores are bit-identical to TopK over the full exact solve,
 // whether the block-pruned solve or the full solve produced them.
+// Dynamic.QueryCandidatesCtx returns one too, ranked as TopKCandidates
+// ranks the full solve.
 type TopKResult = core.TopKResult
 
 // TopKStats reports how a top-k query was answered: the fallback reason

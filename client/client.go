@@ -445,8 +445,8 @@ func (c *Client) PPR(ctx context.Context, name string, seeds map[int]float64, to
 }
 
 // QueryBatch returns top-k RWR results for many seeds in one request. The
-// server answers cached seeds from its result cache and solves the rest
-// together through its blocked multi-RHS solver; results are identical to
+// server answers cached seeds from its result cache and each other seed
+// with the top-k solve a single query runs; results are identical to
 // issuing Query per seed, slot i corresponding to seeds[i] (duplicates
 // allowed).
 func (c *Client) QueryBatch(ctx context.Context, name string, seeds []int, top int) ([]server.BatchSeedResult, error) {

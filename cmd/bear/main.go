@@ -13,14 +13,19 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"bear"
 )
@@ -195,9 +200,12 @@ func cmdPPR(args []string) error {
 // cmdCandidates is the offline link-prediction precompute: for every seed
 // (default: every node) it ranks the k highest-scoring nodes that are not
 // the seed and not among its existing out-neighbors, writing one
-// "seed<TAB>candidate<TAB>score" line per candidate. Seeds are solved in
-// chunks through the blocked multi-RHS batch solver, so the whole-graph
-// sweep costs one factor traversal per chunk rather than one per seed.
+// "seed<TAB>candidate<TAB>score" line per candidate. Each seed runs
+// Dynamic.QueryCandidatesCtx, the ranked solve bearserve's /candidates
+// answers a miss with, so offline and online candidates agree by
+// construction and no n-length score vector is held per seed. Seeds are
+// ranked a chunk at a time over GOMAXPROCS goroutines and written in seed
+// order.
 func cmdCandidates(args []string) error {
 	fs := flag.NewFlagSet("candidates", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "graph file (required)")
@@ -254,25 +262,21 @@ func cmdCandidates(args []string) error {
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# seed\tcandidate\tscore")
-	// Chunk size balances the multi-RHS win against peak memory (each
-	// in-flight seed holds a full n-length score vector).
+	// A chunk bounds the answers held before they are written in order.
 	const chunk = 256
+	ranked := make([]*bear.TopKResult, chunk)
 	written := 0
 	for lo := 0; lo < len(seeds); lo += chunk {
-		hi := lo + chunk
-		if hi > len(seeds) {
-			hi = len(seeds)
-		}
-		vecs, err := d.QueryBatch(seeds[lo:hi], 0)
-		if err != nil {
+		part := seeds[lo:min(lo+chunk, len(seeds))]
+		if err := rankCandidates(d, part, *k, ranked); err != nil {
 			return err
 		}
-		for j, scores := range vecs {
-			seed := seeds[lo+j]
-			for _, node := range bear.TopKCandidates(g, scores, seed, *k) {
-				fmt.Fprintf(bw, "%d\t%d\t%.8g\n", seed, node, scores[node])
-				written++
+		for j, seed := range part {
+			res := ranked[j]
+			for i, node := range res.Nodes {
+				fmt.Fprintf(bw, "%d\t%d\t%.8g\n", seed, node, res.Scores[i])
 			}
+			written += len(res.Nodes)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -280,6 +284,31 @@ func cmdCandidates(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "bear: wrote %d candidates for %d seeds\n", written, len(seeds))
 	return nil
+}
+
+// rankCandidates sets ranked[j] to the k candidates of seeds[j], spreading
+// the seeds over GOMAXPROCS goroutines; each ranked query takes its own
+// pooled workspace.
+func rankCandidates(d *bear.Dynamic, seeds []int, k int, ranked []*bear.TopKResult) error {
+	var next atomic.Int64
+	errs := make([]error, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := int(next.Add(1) - 1); j < len(seeds); j = int(next.Add(1) - 1) {
+				res, err := d.QueryCandidatesCtx(context.Background(), seeds[j], k)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				ranked[j] = res
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 func cmdStats(args []string) error {

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"bear"
+	"bear/server"
 )
 
 // writeTestGraph saves a small deterministic graph and returns its path.
@@ -199,6 +205,33 @@ func TestCmdCandidates(t *testing.T) {
 		}
 	}
 
+	// A seed list longer than one chunk, with repeats, is ranked in
+	// parallel and written in list order: each seed's rows are its rows
+	// from the sweep above.
+	bySeed := map[string][]string{}
+	for _, line := range body {
+		seed, _, _ := strings.Cut(line, "\t")
+		bySeed[seed] = append(bySeed[seed], line)
+	}
+	var list, want []string
+	for i := 0; i < 600; i++ {
+		seed := fmt.Sprint(i * 37 % 100)
+		list = append(list, seed)
+		want = append(want, bySeed[seed]...)
+	}
+	long := filepath.Join(t.TempDir(), "long.tsv")
+	if err := cmdCandidates([]string{"-graph", graphPath, "-k", "3", "-seeds", strings.Join(list, ","), "-out", long}); err != nil {
+		t.Fatalf("long seed list: %v", err)
+	}
+	data, err = os.ReadFile(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Split(strings.TrimSpace(string(data)), "\n")[1:]
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("long seed list: %d rows differ from the sweep's rows in list order (%d)", len(got), len(want))
+	}
+
 	// Explicit seed list and error paths.
 	if err := cmdCandidates([]string{"-graph", graphPath, "-seeds", "0, 5", "-out", filepath.Join(t.TempDir(), "x.tsv")}); err != nil {
 		t.Fatalf("explicit seeds: %v", err)
@@ -214,5 +247,61 @@ func TestCmdCandidates(t *testing.T) {
 	}
 	if err := cmdCandidates([]string{}); err == nil {
 		t.Fatal("expected missing-graph error")
+	}
+}
+
+// TestCmdCandidatesMatchesServer: the offline precompute prints exactly
+// the candidates and scores a bearserve /candidates request answers on the
+// same graph, since both run Dynamic.QueryCandidatesCtx.
+func TestCmdCandidatesMatchesServer(t *testing.T) {
+	graphPath := writeTestGraph(t)
+	out := filepath.Join(t.TempDir(), "cand.tsv")
+	if err := cmdCandidates([]string{"-graph", graphPath, "-k", "4", "-out", out}); err != nil {
+		t.Fatalf("cmdCandidates: %v", err)
+	}
+	offline, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := loadGraph(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := server.New().Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("PUT", "/v1/graphs/g", bytes.NewReader(data)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("PUT: status %d body %s", rec.Code, rec.Body.String())
+	}
+	seeds := make([]int, g.N())
+	for i := range seeds {
+		seeds[i] = i
+	}
+	body, _ := json.Marshal(map[string]interface{}{"seeds": seeds, "k": 4})
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/graphs/g/candidates", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /candidates: status %d body %s", rec.Code, rec.Body.String())
+	}
+	var resp struct {
+		Results []server.CandidateSeedResult `json:"results"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	var online strings.Builder
+	online.WriteString("# seed\tcandidate\tscore\n")
+	for _, slot := range resp.Results {
+		for _, c := range slot.Candidates {
+			fmt.Fprintf(&online, "%d\t%d\t%.8g\n", slot.Seed, c.Node, c.Score)
+		}
+	}
+	if string(offline) != online.String() {
+		t.Fatalf("offline candidates differ from /candidates:\noffline:\n%s\nonline:\n%s", offline, online.String())
 	}
 }

@@ -135,8 +135,7 @@ func (p *Precomputed) answerIsolated(ctx context.Context, dst [][]float64, seeds
 	var ws *Workspace
 	for _, ii := range order {
 		pos := p.Perm[seeds[ii]]
-		bi, ok := p.isolatedBlock(pos)
-		if !ok {
+		if _, ok := p.isolatedBlock(pos); !ok {
 			rest = append(rest, ii)
 			continue
 		}
@@ -144,8 +143,7 @@ func (p *Precomputed) answerIsolated(ctx context.Context, dst [][]float64, seeds
 			ws = p.AcquireWorkspace()
 			defer p.ReleaseWorkspace(ws)
 		}
-		lo, hi := p.loadBlockSeed(ws, bi, pos, 1)
-		if err := p.solveIsolated(ctx, dst[ii], lo, hi, p.C, ws); err != nil {
+		if err := p.solveSeedTo(ctx, dst[ii], pos, 1, p.C, ws); err != nil {
 			return nil, err
 		}
 	}

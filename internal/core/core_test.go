@@ -39,33 +39,9 @@ func maxAbsDiff(a, b []float64) float64 {
 	return mx
 }
 
+// testGraphs is the shared eight-graph fixture suite (gen.Fixtures).
 func testGraphs(seed int64) map[string]*graph.Graph {
-	return map[string]*graph.Graph{
-		"er-small":   gen.ErdosRenyi(60, 240, seed),
-		"er-medium":  gen.ErdosRenyi(400, 2400, seed+1),
-		"ba":         gen.BarabasiAlbert(300, 3, seed+2),
-		"rmat":       gen.RMAT(gen.NewRMATPul(256, 1500, 0.7, seed+3)),
-		"caveman":    gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 12, Size: 20, PIntra: 0.3, Hubs: 6, HubDeg: 15, Seed: seed + 4}),
-		"star":       gen.StarMail(gen.StarMailConfig{Core: 12, Periphery: 250, LeafDeg: 2, PCore: 0.4, Seed: seed + 5}),
-		"singleton":  gen.ErdosRenyi(1, 0, seed),
-		"disconnect": disconnectedGraph(seed + 6),
-	}
-}
-
-func disconnectedGraph(seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(120)
-	// Three islands of 40 nodes each, no cross edges.
-	for isle := 0; isle < 3; isle++ {
-		base := isle * 40
-		for e := 0; e < 120; e++ {
-			u, v := base+rng.Intn(40), base+rng.Intn(40)
-			if u != v {
-				b.AddEdge(u, v, 1)
-			}
-		}
-	}
-	return b.Build()
+	return gen.Fixtures(seed)
 }
 
 func TestBearExactMatchesDirectSolve(t *testing.T) {

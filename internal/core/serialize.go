@@ -248,6 +248,15 @@ func (p *Precomputed) validate() error {
 				return fmt.Errorf("core: %s column index %d out of %d", name, j, c)
 			}
 		}
+		// The column-windowed kernels search rows on the sparse package's
+		// invariant: strictly increasing columns within a row.
+		for i := 0; i < r; i++ {
+			for k := m.RowPtr[i] + 1; k < m.RowPtr[i+1]; k++ {
+				if m.ColIdx[k] <= m.ColIdx[k-1] {
+					return fmt.Errorf("core: %s row %d columns not strictly increasing", name, i)
+				}
+			}
+		}
 		return nil
 	}
 	for _, chk := range []error{

@@ -49,6 +49,36 @@ func TestLoadRejectsCorruptPermutation(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnsortedRow: the column-windowed kernels search each row
+// on strictly increasing columns, so a file whose factor repeats a column
+// within a row is refused at load.
+func TestLoadRejectsUnsortedRow(t *testing.T) {
+	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 8, Size: 15, PIntra: 0.3, Hubs: 5, HubDeg: 12, Seed: 32})
+	p, err := Preprocess(g, Options{})
+	if err != nil {
+		t.Fatalf("Preprocess: %v", err)
+	}
+	m := p.L2Inv
+	row := -1
+	for i := 0; i < m.R && row < 0; i++ {
+		if m.RowPtr[i+1]-m.RowPtr[i] >= 2 {
+			row = i
+		}
+	}
+	if row < 0 {
+		t.Fatal("fixture's L2inv has no row with two entries")
+	}
+	k := m.RowPtr[row]
+	m.ColIdx[k+1] = m.ColIdx[k]
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "not strictly increasing") {
+		t.Fatalf("Load = %v, want the not-strictly-increasing error", err)
+	}
+}
+
 func TestSaveLoadPreservesEverything(t *testing.T) {
 	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 8, Size: 15, PIntra: 0.3, Hubs: 5, HubDeg: 12, Seed: 32})
 	p, err := Preprocess(g, Options{K: 2, DropTol: 1e-4})

@@ -13,13 +13,15 @@ import (
 // block-pruned top-k solve, Woodbury columns and refinement sweeps — runs
 // the same stages:
 //
-//   - load: unit seeds (loadSeeds) or one dense vector (loadDense),
-//     permuted into ws.full = (b₁ ‖ b₂);
+//   - load: unit seeds (loadSeeds), one dense vector (loadDense) or one
+//     sparse weighted distribution (loadSupport), permuted into
+//     ws.full = (b₁ ‖ b₂);
 //   - forward: t = U₁⁻¹L₁⁻¹b₁ and its H₂₁ product. For unit seeds each
 //     run of same-block columns touches only its block's rows (Lemma 1:
 //     the factors of a block-diagonal matrix are block diagonal), and hub
 //     columns have b₁ = 0, so their forward vanishes;
-//   - Schur: r₂ = U₂⁻¹L₂⁻¹P(b₂ − H₂₁t);
+//   - Schur: r₂ = U₂⁻¹L₂⁻¹P(b₂ − H₂₁t), each product over its input's
+//     window of nonzero rows when that window spans at most half of them;
 //   - back-substitution: r₁ = U₁⁻¹L₁⁻¹(b₁ − H₁₂r₂), over every block
 //     here, or over the blocks the top-k bound selects (topksolve.go);
 //   - scatter: (r₁ ‖ r₂) back to graph node order, times a scale factor.
@@ -89,6 +91,24 @@ func (p *Precomputed) loadSeeds(ws *Workspace, pos []int, val float64) {
 	}
 }
 
+// supportEntry is one nonzero of a sparse right-hand side: an internal
+// position and its weight. A support lists each position once, sorted by
+// position, so the entries of one diagonal block are adjacent and the hubs
+// come last.
+type supportEntry struct {
+	pos int
+	w   float64
+}
+
+// loadSupport loads the sparse right-hand side sup into ws.full.
+func (p *Precomputed) loadSupport(ws *Workspace, sup []supportEntry) {
+	b := ws.full[:p.N]
+	clear(b)
+	for _, e := range sup {
+		b[e.pos] = e.w
+	}
+}
+
 // loadDense permutes one right-hand side b, indexed by node id, into
 // ws.full.
 func (p *Precomputed) loadDense(ws *Workspace, b []float64) {
@@ -102,7 +122,8 @@ func (p *Precomputed) loadDense(ws *Workspace, b []float64) {
 // position pos.
 func (p *Precomputed) solveSeedTo(ctx context.Context, dst []float64, pos int, val, scale float64, ws *Workspace) error {
 	if bi, ok := p.isolatedBlock(pos); ok {
-		lo, hi := p.loadBlockSeed(ws, bi, pos, val)
+		seed := [1]supportEntry{{pos, val}}
+		lo, hi := p.loadBlockSupport(ws, bi, seed[:])
 		return p.solveIsolated(ctx, dst, lo, hi, scale, ws)
 	}
 	at, col := [1]int{pos}, [1]int{0}
@@ -144,14 +165,16 @@ func (p *Precomputed) loadedIsolated(ws *Workspace) bool {
 	return true
 }
 
-// loadBlockSeed loads val·e at internal position pos into the rows
-// [lo, hi) of its diagonal block bi in ws.full and returns that range.
-// Rows outside it keep whatever they held: the block-restricted products
-// read only the block's rows.
-func (p *Precomputed) loadBlockSeed(ws *Workspace, bi, pos int, val float64) (lo, hi int) {
+// loadBlockSupport loads the support entries sup, all inside diagonal
+// block bi, into the rows [lo, hi) of that block in ws.full and returns
+// that range. Rows outside it keep whatever they held: the
+// block-restricted products read only the block's rows.
+func (p *Precomputed) loadBlockSupport(ws *Workspace, bi int, sup []supportEntry) (lo, hi int) {
 	lo, hi = p.BlockOffsets[bi], p.BlockOffsets[bi+1]
 	clear(ws.full[lo:hi])
-	ws.full[pos] = val
+	for _, e := range sup {
+		ws.full[e.pos] = e.w
+	}
 	return lo, hi
 }
 
@@ -313,7 +336,11 @@ func (p *Precomputed) forward(ws *Workspace, nb int, pos []int) []float64 {
 
 // schur computes r₂ = U₂⁻¹L₂⁻¹P(b₂ − h) for h = H₂₁t held in ws.s2a, where
 // P is the pivot permutation of S's LU. The result is one of ws's
-// hub-length blocks.
+// hub-length blocks. Each triangular product reads only the window of its
+// input's nonzero rows when that window spans at most half of them
+// (mulNonzero): a seed's y usually has a handful of nonzeros, so L₂⁻¹
+// runs over a narrow column window, and U₂⁻¹ from the first nonzero of
+// L₂⁻¹y on.
 func (p *Precomputed) schur(ws *Workspace, nb int, h []float64) []float64 {
 	n1, n2 := p.N1, p.N2
 	b2 := ws.full[n1*nb : (n1+n2)*nb]
@@ -327,10 +354,40 @@ func (p *Precomputed) schur(ws *Workspace, nb int, h []float64) []float64 {
 		}
 		y, spare = spare, y
 	}
-	mul(p.kern.l2inv, spare, y, nb)
+	mulNonzero(p.kern.l2inv, spare, y, nb)
 	y, spare = spare, y
-	mul(p.kern.u2inv, spare, y, nb)
+	mulNonzero(p.kern.u2inv, spare, y, nb)
 	return spare
+}
+
+// mulNonzero computes y = M·x for nb right-hand sides. When x's nonzero
+// rows fit in a window of at most half its rows, only that column window
+// is read (mulColRange): the skipped terms multiply exact zeros, and every
+// row accumulates from +0, which adding ±0 leaves unchanged, so y is
+// bit-identical to the full product; no triangularity is assumed. A wider
+// window runs the full product: locating each row's window costs a few
+// comparisons whatever its width, which on a small hub core is more than
+// the skipped entries save.
+func mulNonzero(m kernel.Matrix, y, x []float64, nb int) {
+	lo, hi := nonzeroWindow(x, nb)
+	if 2*(hi-lo) > len(x)/nb {
+		mul(m, y, x, nb)
+		return
+	}
+	mulColRange(m, y, x, nb, lo, hi)
+}
+
+// nonzeroWindow returns the rows [lo, hi) of x, nb values to a row,
+// outside which x is zero.
+func nonzeroWindow(x []float64, nb int) (lo, hi int) {
+	hi = len(x)
+	for hi > 0 && x[hi-1] == 0 {
+		hi--
+	}
+	for lo < hi && x[lo] == 0 {
+		lo++
+	}
+	return lo / nb, (hi + nb - 1) / nb
 }
 
 // backRHS computes z = b₁ − H₁₂r₂ into ws.s1a: the right-hand side every

@@ -1,10 +1,11 @@
 package core
 
-// Block-pruned single-seed top-k back-substitution. The full exact solve
-// spends most of its time in backSolve's L₁⁻¹/U₁⁻¹ products over every
-// spoke block, yet a top-k query only needs exact scores for blocks that
-// can plausibly reach rank k. Each block's solution admits a certified
-// a-priori bound from quantities that are cheap to precompute:
+// Block-pruned top-k back-substitution for a sparse starting distribution
+// (one seed, or a weighted handful for personalized PageRank). The full
+// exact solve spends most of its time in backSolve's L₁⁻¹/U₁⁻¹ products
+// over every spoke block, yet a top-k query only needs exact scores for
+// blocks that can plausibly reach rank k. Each block's solution admits a
+// certified a-priori bound from quantities that are cheap to precompute:
 //
 //	x₁ᵢ = U₁ᵢ⁻¹ L₁ᵢ⁻¹ zᵢ  ⇒  ‖x₁ᵢ‖_∞ ≤ ‖x₁ᵢ‖₁ ≤ Σ_j |zᵢ[j]| · ν[j],
 //
@@ -134,35 +135,68 @@ func (q *topKIDHeap) theta() (float64, bool) {
 	return q.scores[q.h[0]], true
 }
 
+// supportBlocks appends to blocks the diagonal blocks holding the spoke
+// entries of sup, ascending and each once, and reports whether sup reaches
+// no hub: it holds no hub and all its blocks are isolated. An empty
+// support reaches none.
+func (p *Precomputed) supportBlocks(blocks []int, sup []supportEntry) ([]int, bool) {
+	isolated := true
+	for _, e := range sup {
+		if e.pos >= p.N1 {
+			return blocks, false // hubs sort last
+		}
+		bi := p.blockOfPos(e.pos)
+		if n := len(blocks); n == 0 || blocks[n-1] != bi {
+			blocks = append(blocks, bi)
+			isolated = isolated && p.blockIsolated(bi)
+		}
+	}
+	return blocks, isolated
+}
+
+// inBlocks reports whether internal position pos lies in one of the
+// ascending diagonal blocks.
+func (p *Precomputed) inBlocks(blocks []int, pos int) bool {
+	i := sort.Search(len(blocks), func(i int) bool { return p.BlockOffsets[blocks[i]+1] > pos })
+	return i < len(blocks) && p.BlockOffsets[blocks[i]] <= pos
+}
+
 // topKKnown counts the scores the block-pruned solve computes before its
-// first pruning decision: the n₂ hubs plus the seed's own block (none for
-// a hub seed). For k above it no k-th best score θ exists at the filter
-// pass, so every block with a nonzero bound survives to be ordered and
-// solved; QueryTopKCtx runs the full solve instead.
-func (p *Precomputed) topKKnown(seed int) int {
+// first pruning decision: the n₂ hubs plus the support's own blocks. For k
+// above it no k-th best score θ exists at the filter pass, so every block
+// with a nonzero bound survives to be ordered and solved; QueryDistTopKCtx
+// runs the full solve instead.
+func (p *Precomputed) topKKnown(blocks []int) int {
 	known := p.N2
-	if pos := p.Perm[seed]; pos < p.N1 {
-		bi := p.blockOfPos(pos)
+	for _, bi := range blocks {
 		known += p.BlockOffsets[bi+1] - p.BlockOffsets[bi]
 	}
 	return known
 }
 
-// solveSeedTopKCtx answers a single-seed top-k query with the block-pruned
-// exact solve. It runs the pipeline's load, forward and Schur stages
-// (hub scores are always exact), then back-substitutes spoke blocks in
-// decreasing order of their certified score bound, stopping as soon as
+// solveTopKCtx answers a top-k query for the sparse right-hand side sup,
+// whose spoke entries lie in blocks, with the block-pruned exact solve. It
+// runs the pipeline's load, forward and Schur stages (hub scores are
+// always exact): one entry takes the block-restricted seed forward, more
+// take the unrestricted one, as solveToCtx does for the dense form. It
+// then back-substitutes the support's blocks, and every other spoke block
+// in decreasing order of its certified score bound, stopping as soon as
 // the remaining bounds fall strictly below the running k-th best exact
-// score. Scores are final (restart-scaled); nodes are graph ids ranked
-// with TopK's exact comparator. solved and skipped count spoke blocks.
-func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Workspace) (nodes []int, scores []float64, solved, skipped int, err error) {
+// score.
+// Scores are final (restart-scaled); nodes are graph ids ranked with
+// TopK's exact comparator. solved and skipped count spoke blocks.
+func (p *Precomputed) solveTopKCtx(ctx context.Context, sup []supportEntry, blocks []int, k int, ws *Workspace) (nodes []int, scores []float64, solved, skipped int, err error) {
 	n1, n2 := p.N1, p.N2
 	c := p.C
-	pos := p.Perm[seed]
-	at := [1]int{pos}
-	p.loadSeeds(ws, at[:], 1)
+	var at [1]int
+	var pos []int // nil: the unrestricted forward
+	if len(sup) == 1 {
+		at[0] = sup[0].pos
+		pos = at[:]
+	}
+	p.loadSupport(ws, sup)
 	tr := obsv.FromContext(ctx)
-	r2, err := p.forwardSchur(ctx, tr, ws, 1, at[:])
+	r2, err := p.forwardSchur(ctx, tr, ws, 1, pos)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -175,9 +209,7 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 	// The loaded right-hand side is dead once z exists (r₂ lives in
 	// s2a/s2b), so ws.full is recycled as the score vector.
 	dst := ws.full
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	heap := topKIDHeap{scores: dst, k: k}
 	for i := 0; i < n2; i++ {
 		v := p.InvPerm[n1+i]
@@ -187,10 +219,6 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 
 	nu := p.topKColBounds()
 	nblocks := len(p.BlockOffsets) - 1
-	seedBlock := -1
-	if pos < n1 {
-		seedBlock = p.blockOfPos(pos)
-	}
 	solveBlock := func(bi int) {
 		lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
 		// The factors are block diagonal: rows [lo,hi) read only columns
@@ -206,40 +234,45 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 		solved++
 	}
 
-	// The seed's own block always resolves exactly: it holds the restart
-	// mass and seeds θ with the highest scores in most queries.
-	if seedBlock >= 0 {
-		solveBlock(seedBlock)
+	// The support's own blocks always resolve exactly: they hold the
+	// restart mass and seed θ with the highest scores in most queries.
+	for _, bi := range blocks {
+		solveBlock(bi)
 	}
 
-	// One filtering pass prunes against the θ the seed block and hubs
+	// One filtering pass prunes against the θ the support blocks and hubs
 	// already established — θ only grows, so a block rejected here stays
 	// certifiably outside the top k. Survivors (typically a handful) are
 	// sorted by bound and re-checked against the tightening θ as they
 	// resolve. A zero bound means the block's solution is exactly zero
 	// (dst already holds it — this is Lemma 1's sparsity, recovered from
-	// the bound itself).
+	// the bound itself). The pass runs over the gaps between the support's
+	// blocks, whose z now holds their solution.
 	type bound struct {
 		bi int
 		u  float64
 	}
 	var survivors []bound
 	theta, full := heap.theta()
-	for bi := 0; bi < nblocks; bi++ {
-		if bi == seedBlock {
-			continue
+	for i, from := 0, 0; i <= len(blocks); i++ {
+		to := nblocks
+		if i < len(blocks) {
+			to = blocks[i]
 		}
-		lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
-		var u float64
-		for j := lo; j < hi; j++ {
-			u += nu[j] * math.Abs(z[j])
+		for bi := from; bi < to; bi++ {
+			lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
+			var u float64
+			for j := lo; j < hi; j++ {
+				u += nu[j] * math.Abs(z[j])
+			}
+			u *= c * topKBoundSlack
+			if u == 0 || (full && u < theta) {
+				skipped++
+				continue
+			}
+			survivors = append(survivors, bound{bi, u})
 		}
-		u *= c * topKBoundSlack
-		if u == 0 || (full && u < theta) {
-			skipped++
-			continue
-		}
-		survivors = append(survivors, bound{bi, u})
+		from = to + 1
 	}
 	sort.Slice(survivors, func(i, j int) bool { return survivors[i].u > survivors[j].u })
 	for i, b := range survivors {
@@ -273,31 +306,46 @@ func (p *Precomputed) solveSeedTopKCtx(ctx context.Context, seed, k int, ws *Wor
 	return nodes, scores, solved, skipped, nil
 }
 
-// solveIsolatedTopKCtx answers a top-k query for a seed in isolated block
-// bi without an n-length score vector. The seed reaches no hub
-// (solveIsolated), so every node outside its block scores +0, and equal
+// solveIsolatedTopKCtx answers a top-k query for the sparse right-hand
+// side sup, whose entries all lie in the isolated blocks listed in
+// blocks, without an n-length score vector. The support reaches no hub
+// (solveIsolated), so every node outside its blocks scores +0, and equal
 // scores rank by ascending id: the top k of the full solve are the top k
-// of the block's nodes plus the k lowest-id nodes outside it, ranked with
-// the same comparator. It allocates only the two result slices.
-func (p *Precomputed) solveIsolatedTopKCtx(ctx context.Context, seed, bi, k int, ws *Workspace) ([]int, []float64, error) {
+// of the blocks' nodes plus the k lowest-id nodes outside them, ranked
+// with the same comparator. Each block's forward is restricted to its own
+// rows (Lemma 1), which is bit-identical to the unrestricted forward the
+// full solve runs for a multi-entry support. It allocates only the two
+// result slices.
+func (p *Precomputed) solveIsolatedTopKCtx(ctx context.Context, sup []supportEntry, blocks []int, k int, ws *Workspace) ([]int, []float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	defer obsv.FromContext(ctx).Start(obsv.SpanForwardSolve).Stop()
-	lo, hi := p.loadBlockSeed(ws, bi, p.Perm[seed], 1)
-	t := p.forwardIsolated(ws, lo, hi)
+	// Every block's forward lands in its own rows of t (ws.s1b).
+	t := ws.s1b[:p.N1]
+	for _, bi := range blocks {
+		j := 0
+		for j < len(sup) && sup[j].pos < p.BlockOffsets[bi+1] {
+			j++
+		}
+		lo, hi := p.loadBlockSupport(ws, bi, sup[:j])
+		p.forwardIsolated(ws, lo, hi)
+		sup = sup[j:]
+	}
 
-	// ws.full is dead once t exists (t lives in ws.s1b), so it holds the
-	// candidates' scores by node id; no other entry of it is read.
+	// ws.full is dead once t exists, so it holds the candidates' scores by
+	// node id; no other entry of it is read.
 	k = min(k, p.N)
 	heap := topKIDHeap{scores: ws.full, h: make([]int, 0, k), k: k}
-	for j := lo; j < hi; j++ {
-		v := p.InvPerm[j]
-		ws.full[v] = p.C * t[j]
-		heap.push(v)
+	for _, bi := range blocks {
+		for j := p.BlockOffsets[bi]; j < p.BlockOffsets[bi+1]; j++ {
+			v := p.InvPerm[j]
+			ws.full[v] = p.C * t[j]
+			heap.push(v)
+		}
 	}
 	for v, zeros := 0, 0; zeros < k && v < p.N; v++ {
-		if at := p.Perm[v]; at >= lo && at < hi {
+		if p.inBlocks(blocks, p.Perm[v]) {
 			continue
 		}
 		ws.full[v] = 0

@@ -255,3 +255,38 @@ func Bipartite(left, right, m int, seed int64) *graph.Graph {
 	}
 	return b.Build()
 }
+
+// Fixtures returns the eight small graphs the correctness suites share,
+// each derived from seed: Erdős–Rényi at two sizes, Barabási–Albert,
+// R-MAT, caveman with hubs, the star-heavy graph, a single node, and
+// three disconnected islands. Between them they cover hub-free and
+// hub-heavy orderings, isolated blocks and one-node blocks.
+func Fixtures(seed int64) map[string]*graph.Graph {
+	return map[string]*graph.Graph{
+		"er-small":   ErdosRenyi(60, 240, seed),
+		"er-medium":  ErdosRenyi(400, 2400, seed+1),
+		"ba":         BarabasiAlbert(300, 3, seed+2),
+		"rmat":       RMAT(NewRMATPul(256, 1500, 0.7, seed+3)),
+		"caveman":    CavemanHubs(CavemanHubsConfig{Communities: 12, Size: 20, PIntra: 0.3, Hubs: 6, HubDeg: 15, Seed: seed + 4}),
+		"star":       StarMail(StarMailConfig{Core: 12, Periphery: 250, LeafDeg: 2, PCore: 0.4, Seed: seed + 5}),
+		"singleton":  ErdosRenyi(1, 0, seed),
+		"disconnect": islands(seed + 6),
+	}
+}
+
+// islands is three islands of 40 nodes with 120 random edge draws each
+// and no edge between them.
+func islands(seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(120)
+	for isle := 0; isle < 3; isle++ {
+		base := isle * 40
+		for e := 0; e < 120; e++ {
+			u, v := base+rng.Intn(40), base+rng.Intn(40)
+			if u != v {
+				b.AddEdge(u, v, 1)
+			}
+		}
+	}
+	return b.Build()
+}

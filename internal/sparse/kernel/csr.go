@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"bear/internal/sparse"
 )
@@ -87,10 +86,10 @@ func (k *CSR) spmvRange(y, x []float64, lo, hi int) {
 // spmvColRange computes y = A[:, lo:hi] · x[lo:hi]: every row of y is
 // written, but each row's accumulation visits only the stored entries whose
 // column index falls in [lo, hi), located by binary search within the
-// row's sorted column indices. When x is exactly zero outside [lo, hi) the
-// nonzero terms and their order match MulVecTo, so any entry that MulVecTo
-// would compute as nonzero is bit-identical (skipped ±0 terms can at most
-// flip the sign of an exact zero).
+// row's sorted column indices, and then runs spmvRange's slice loop over
+// them. When x is exactly zero outside [lo, hi) the result is bit-identical
+// to MulVecTo: the nonzero terms and their order match, and every row
+// accumulates from +0, which a skipped ±0 term leaves unchanged.
 func (k *CSR) spmvColRange(y, x []float64, lo, hi int) {
 	m := k.m
 	if len(x) != m.C || len(y) != m.R {
@@ -100,14 +99,59 @@ func (k *CSR) spmvColRange(y, x []float64, lo, hi int) {
 		panic(fmt.Sprintf("kernel: SpMVColRange cols [%d,%d) out of %d", lo, hi, m.C))
 	}
 	for i := 0; i < m.R; i++ {
-		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-		k := ks + sort.SearchInts(m.ColIdx[ks:ke], lo)
+		ps, pe := k.colWindow(i, lo, hi)
 		var s float64
-		for ; k < ke && m.ColIdx[k] < hi; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+		val := m.Val[ps:pe]
+		col := m.ColIdx[ps:pe:pe]
+		for j, v := range val {
+			s += v * x[col[j]]
 		}
 		y[i] = s
 	}
+}
+
+// colWindow returns the stored-entry range [ps, pe) of row i whose columns
+// fall in [lo, hi). The row's first and last column settle an empty
+// window or an end the row never crosses; only a crossed end is located
+// by binary search over the row's sorted column indices.
+func (k *CSR) colWindow(i, lo, hi int) (ps, pe int) {
+	m := k.m
+	ps, pe = m.RowPtr[i], m.RowPtr[i+1]
+	cols := m.ColIdx
+	if ps == pe || cols[pe-1] < lo || cols[ps] >= hi {
+		return ps, ps
+	}
+	if cols[ps] < lo {
+		ps = searchCol(cols, ps, pe, lo)
+	}
+	if cols[pe-1] >= hi {
+		pe = searchCol(cols, ps, pe, hi)
+	}
+	return ps, pe
+}
+
+// searchCol returns the first index in [a, b) whose column is at least c,
+// or b; cols[a:b] is sorted and duplicate-free. Such columns grow by at
+// least one per index, so the answer lies in
+// [b−1−(cols[b−1]−c), a+(c−cols[a])], and the binary search runs only
+// over that range: on a dense row it is one index wide.
+func searchCol(cols []int, a, b, c int) int {
+	if a == b || cols[a] >= c {
+		return a
+	}
+	if cols[b-1] < c {
+		return b
+	}
+	lo, hi := max(a, b-1-(cols[b-1]-c)), min(b, a+(c-cols[a]))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cols[m] < c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Multi-RHS (SpMM) loops: one traversal of the CSR structure applied to a
@@ -118,10 +162,10 @@ func (k *CSR) spmvColRange(y, x []float64, lo, hi int) {
 // the whole win: the factor matrices are far larger than the vectors, so
 // the per-seed path is bandwidth-bound on re-reading them.
 //
-// The inner loop is register-tiled: each row's output is computed four
-// right-hand sides at a time with four scalar accumulators, so a stored
-// entry costs four fused multiply-adds on registers and the output row is
-// written exactly once. The naive layout-order alternative — sweep all nb
+// The inner loop is register-tiled: each row's output is computed eight,
+// four or two right-hand sides at a time with that many scalar
+// accumulators, so a stored entry costs one multiply-add per right-hand
+// side on registers and the output row is written exactly once. The naive layout-order alternative — sweep all nb
 // outputs per stored entry — issues nb cache stores per entry, which costs
 // as much as the nb separate traversals it was meant to save.
 //
@@ -154,16 +198,19 @@ func (k *CSR) spmmRange(y, x []float64, nb, lo, hi int) {
 
 // mulRowTiled computes one output row of a multi-RHS product: for each
 // right-hand side t, row[t] = Σ_p val[p]·x[colIdx[p]*nb+t] over stored
-// entries [ks, ke), accumulating four right-hand sides per entry pass in
-// registers. Per column the entry order matches MulVecTo, so each output
+// entries [ks, ke), accumulating eight, four or two right-hand sides per
+// entry pass in registers. Per column the entry order matches MulVecTo, so each output
 // is bit-identical to the single-vector product.
 func mulRowTiled(row, x, val []float64, colIdx []int, nb, ks, ke int) {
+	// Ranging over the row's own entries, sliced once, keeps the bounds
+	// checks on val and colIdx out of the entry loops.
+	vals := val[ks:ke]
+	cols := colIdx[ks:ke:ke]
 	t := 0
 	for ; t+8 <= nb; t += 8 {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		for p := ks; p < ke; p++ {
-			v := val[p]
-			xr := x[colIdx[p]*nb+t:]
+		for i, v := range vals {
+			xr := x[cols[i]*nb+t:]
 			xr = xr[:8:8]
 			a0 += v * xr[0]
 			a1 += v * xr[1]
@@ -185,9 +232,8 @@ func mulRowTiled(row, x, val []float64, colIdx []int, nb, ks, ke int) {
 	}
 	for ; t+4 <= nb; t += 4 {
 		var a0, a1, a2, a3 float64
-		for p := ks; p < ke; p++ {
-			v := val[p]
-			xr := x[colIdx[p]*nb+t:]
+		for i, v := range vals {
+			xr := x[cols[i]*nb+t:]
 			xr = xr[:4:4]
 			a0 += v * xr[0]
 			a1 += v * xr[1]
@@ -199,10 +245,21 @@ func mulRowTiled(row, x, val []float64, colIdx []int, nb, ks, ke int) {
 		row[t+2] = a2
 		row[t+3] = a3
 	}
+	for ; t+2 <= nb; t += 2 {
+		var a0, a1 float64
+		for i, v := range vals {
+			xr := x[cols[i]*nb+t:]
+			xr = xr[:2:2]
+			a0 += v * xr[0]
+			a1 += v * xr[1]
+		}
+		row[t] = a0
+		row[t+1] = a1
+	}
 	for ; t < nb; t++ {
 		var acc float64
-		for p := ks; p < ke; p++ {
-			acc += val[p] * x[colIdx[p]*nb+t]
+		for i, v := range vals {
+			acc += v * x[cols[i]*nb+t]
 		}
 		row[t] = acc
 	}
@@ -227,9 +284,7 @@ func (k *CSR) spmmColRange(y, x []float64, nb, lo, hi int) {
 		panic(fmt.Sprintf("kernel: SpMMColRange cols [%d,%d) out of %d", lo, hi, m.C))
 	}
 	for i := 0; i < m.R; i++ {
-		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-		ps := ks + sort.SearchInts(m.ColIdx[ks:ke], lo)
-		pe := ps + sort.SearchInts(m.ColIdx[ps:ke], hi)
+		ps, pe := k.colWindow(i, lo, hi)
 		mulRowTiled(y[i*nb:(i+1)*nb:(i+1)*nb], x, m.Val, m.ColIdx, nb, ps, pe)
 	}
 }

@@ -108,6 +108,14 @@ func filled(n int) []float64 {
 	return v
 }
 
+// windowed returns a copy of the nb-wide node-contiguous block x with
+// every row outside [lo, hi) set to zero.
+func windowed(x []float64, nb, lo, hi int) []float64 {
+	w := make([]float64, len(x))
+	copy(w[lo*nb:hi*nb], x[lo*nb:hi*nb])
+	return w
+}
+
 func fixtures(rng *rand.Rand) map[string]*sparse.CSR {
 	return map[string]*sparse.CSR{
 		"random-sparse":  randCSR(rng, 97, 97, 0.06),
@@ -124,16 +132,19 @@ func fixtures(rng *rand.Rand) map[string]*sparse.CSR {
 // matrices × every layout × {1, 3, GOMAXPROCS} workers, asserting every
 // primitive in the Matrix interface is bit-identical to refProduct, that
 // ranged products leave rows outside their window untouched, and that a
-// repeated call reproduces the first. The multi-RHS widths cover the
-// 8-wide and 4-wide register tiles and the scalar tail. CI runs this
-// under -race, which also exercises the pool partitioning.
+// repeated call reproduces the first. The multi-RHS widths 1–9 and 17
+// cover every mix of the 8-, 4- and 2-wide register tiles and the scalar
+// tail. A column-windowed product over an x that is zero outside its
+// window must equal the full product bit for bit: the Schur stage's
+// windowed products rely on it. CI runs this under -race, which also
+// exercises the pool partitioning.
 func TestKernelLayoutsMatchBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for mname, m := range fixtures(rng) {
 		x := randVec(rng, m.C)
 		q := randVec(rng, m.R)
 		rowWins := [][2]int{{0, m.R}, {m.R / 3, 2 * m.R / 3}, {m.R / 2, m.R / 2}}
-		colWins := [][2]int{{0, m.C}, {m.C / 4, 3 * m.C / 4}}
+		colWins := [][2]int{{0, m.C}, {m.C / 4, 3 * m.C / 4}, {0, m.C / 2}, {m.C / 2, m.C}, {m.C / 3, m.C / 3}}
 
 		wantVec := refProduct(m, x, 1, 0, m.C)
 		wantRes := make([]float64, m.R)
@@ -165,9 +176,18 @@ func TestKernelLayoutsMatchBaseline(t *testing.T) {
 				got := filled(m.R)
 				k.SpMVColRange(got, x, lo, hi)
 				checkBits(t, fmt.Sprintf("%s/SpMVColRange[%d:%d]", tag, lo, hi), got, refProduct(m, x, 1, lo, hi))
+
+				xw := windowed(x, 1, lo, hi)
+				full := make([]float64, m.R)
+				k.SpMV(full, xw)
+				k.SpMVColRange(got, xw, lo, hi)
+				checkBits(t, fmt.Sprintf("%s/SpMVColRange[%d:%d] vs SpMV of windowed x", tag, lo, hi), got, full)
 			}
 
-			for _, nb := range []int{1, 3, 4, 8, 17} {
+			for nb := 1; nb <= 17; nb++ {
+				if nb > 9 && nb < 17 {
+					continue
+				}
 				xm := randVec(rng, m.C*nb)
 				wantMM := refProduct(m, xm, nb, 0, m.C)
 				ym := filled(m.R * nb)
@@ -186,6 +206,12 @@ func TestKernelLayoutsMatchBaseline(t *testing.T) {
 					got := filled(m.R * nb)
 					k.SpMMColRange(got, xm, nb, lo, hi)
 					checkBits(t, fmt.Sprintf("%s/SpMMColRange(nb=%d)[%d:%d]", tag, nb, lo, hi), got, refProduct(m, xm, nb, lo, hi))
+
+					xw := windowed(xm, nb, lo, hi)
+					full := make([]float64, m.R*nb)
+					k.SpMM(full, xw, nb)
+					k.SpMMColRange(got, xw, nb, lo, hi)
+					checkBits(t, fmt.Sprintf("%s/SpMMColRange(nb=%d)[%d:%d] vs SpMM of windowed x", tag, nb, lo, hi), got, full)
 				}
 			}
 

@@ -40,52 +40,6 @@ type answer struct {
 
 func (a *answer) CacheBytes() int64 { return int64(len(a.results))*24 + 40 }
 
-// borrowVec lends an n-length score vector from e's pool; its contents are
-// arbitrary. Return it with e.vecs.Put once nothing reads it: a cache miss
-// then allocates only its answer, not a vector per solve.
-func (e *entry) borrowVec() *[]float64 {
-	if v, ok := e.vecs.Get().(*[]float64); ok {
-		return v
-	}
-	v := make([]float64, e.dyn.Precomputed().N)
-	return &v
-}
-
-// solvePooled runs solve into a borrowed score vector and ranks its top
-// entries in place; the vector goes back to the pool.
-func (e *entry) solvePooled(top int, solve func(dst []float64) error) (*answer, error) {
-	v := e.borrowVec()
-	defer e.vecs.Put(v)
-	if err := solve(*v); err != nil {
-		return nil, err
-	}
-	return &answer{results: topResults(*v, top)}, nil
-}
-
-// batchPooled solves seeds through the blocked multi-RHS solver into
-// borrowed score vectors and hands each to rank (indexed like seeds)
-// before the vectors go back to the pool.
-func (e *entry) batchPooled(ctx context.Context, seeds []int, rank func(j int, scores []float64)) error {
-	borrowed := make([]*[]float64, len(seeds))
-	vecs := make([][]float64, len(seeds))
-	for j := range seeds {
-		borrowed[j] = e.borrowVec()
-		vecs[j] = *borrowed[j]
-	}
-	defer func() {
-		for _, v := range borrowed {
-			e.vecs.Put(v)
-		}
-	}()
-	if err := e.dyn.QueryBatchToCtx(ctx, vecs, seeds, 0); err != nil {
-		return err
-	}
-	for j, scores := range vecs {
-		rank(j, scores)
-	}
-	return nil
-}
-
 // resultCache lazily builds the cache from the configured budget so the
 // fields can be set any time before the first request.
 func (s *Server) resultCache() *resultcache.Cache {
@@ -155,9 +109,10 @@ type BatchSeedResult struct {
 
 // handleBatch answers POST /v1/graphs/{name}/batch: each seed is first
 // looked up in the result cache (sharing entries with the single-seed
-// query endpoint), and all misses are solved together through the blocked
-// multi-RHS batch solver — one factor traversal per chunk of seeds instead
-// of one per seed. Results are bit-identical to the single-seed path.
+// query endpoint), and each miss is answered by the top-k solve, exactly
+// as a single-seed query miss is. A per-seed ranked solve reads only the
+// blocks that can reach rank top, which beats the library's blocked
+// multi-RHS solve at the few misses per chunk a batch holds.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	e, ok := s.lookup(name)
@@ -231,37 +186,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	status := "hit"
 	if len(missIdx) > 0 {
 		status = "miss"
-		missSeeds := make([]int, len(missIdx))
-		for j, i := range missIdx {
-			missSeeds[j] = req.Seeds[i]
-		}
-		results := make([][]ScoredNode, len(missSeeds))
-		var err error
-		if refine > 0 {
-			// Refinement sweeps are per-vector (each iterate needs its own
-			// residual), so refined misses solve seed by seed instead of
-			// through the blocked multi-RHS path.
-			for j, seed := range missSeeds {
-				q := make([]float64, n)
-				q[seed] = 1
-				var scores []float64
-				if scores, err = s.refineSolve(ctx, e, q, refine); err != nil {
-					break
-				}
-				results[j] = topResults(scores, top)
+		for _, i := range missIdx {
+			results, err := s.solveSeed(ctx, e, req.Seeds[i], top, refine)
+			if err != nil {
+				writeError(w, queryError(err))
+				return
 			}
-		} else {
-			err = e.batchPooled(ctx, missSeeds, func(j int, scores []float64) {
-				results[j] = topResults(scores, top)
-			})
-		}
-		if err != nil {
-			writeError(w, queryError(err))
-			return
-		}
-		for j, i := range missIdx {
-			cache.Put(keys[i], &answer{results: results[j]})
-			out[i] = BatchSeedResult{Seed: req.Seeds[i], Cache: "miss", Results: results[j]}
+			cache.Put(keys[i], &answer{results: results})
+			out[i] = BatchSeedResult{Seed: req.Seeds[i], Cache: "miss", Results: results}
 		}
 	}
 	s.logSlow("batch", name, fmt.Sprintf("seeds=%d misses=%d", len(req.Seeds), len(missIdx)),

@@ -4,8 +4,8 @@ package server
 // the block-pruned solve (spoke blocks whose certified bound cannot reach
 // rank k are never back-substituted), and POST /candidates ranks per-seed
 // link-prediction candidates — top-k by RWR score excluding the seed and
-// its existing out-neighbors — through the result cache and the blocked
-// multi-RHS batch solver.
+// its existing out-neighbors — through the result cache and the same
+// solve.
 
 import (
 	"context"
@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"time"
 
-	"bear"
 	"bear/internal/obsv"
 	"bear/internal/resultcache"
 )
@@ -75,11 +74,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]ScoredNode, len(res.Nodes))
-		for i, node := range res.Nodes {
-			out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
-		}
-		return &answer{results: out, fallback: res.Stats.Fallback}, nil
+		return &answer{results: rankedResults(res), fallback: res.Stats.Fallback}, nil
 	})
 	if err != nil {
 		writeError(w, queryError(err))
@@ -147,8 +142,8 @@ type CandidateSeedResult struct {
 // handleCandidates answers POST /v1/graphs/{name}/candidates: for each
 // seed, the k highest-scoring nodes that are not the seed and not already
 // among its out-neighbors — the standard RWR link-prediction candidate
-// set. Per-seed results are cached under their own key kind; all misses
-// are solved together through the blocked multi-RHS batch solver.
+// set. Per-seed results are cached under their own key kind; each miss is
+// answered by Dynamic.QueryCandidatesCtx, the ranked top-k solve.
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	s.metrics().candidatesRequests.Inc()
 	name := r.PathValue("name")
@@ -157,8 +152,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errNotFound(name))
 		return
 	}
-	g := e.dyn.Graph()
-	req, err := parseCandidatesRequest(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes), g.N())
+	req, err := parseCandidatesRequest(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes), e.dyn.Graph().N())
 	if err != nil {
 		writeError(w, err)
 		return
@@ -169,8 +163,8 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	cache := s.resultCache()
 	// One epoch read covers the batch (see handleBatch): entries written
-	// under it can only be fresher than the key promises. The exclusion
-	// edges come from g, captured alongside.
+	// under it can only be fresher than the key promises, exclusion edges
+	// included.
 	epoch := e.dyn.Epoch()
 	out := make([]CandidateSeedResult, len(req.Seeds))
 	keys := make([]resultcache.Key, len(req.Seeds))
@@ -189,25 +183,15 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	status := "hit"
 	if len(missIdx) > 0 {
 		status = "miss"
-		missSeeds := make([]int, len(missIdx))
-		for j, i := range missIdx {
-			missSeeds[j] = req.Seeds[i]
-		}
-		cands := make([][]ScoredNode, len(missSeeds))
-		err := e.batchPooled(ctx, missSeeds, func(j int, scores []float64) {
-			ids := bear.TopKCandidates(g, scores, missSeeds[j], req.K)
-			cands[j] = make([]ScoredNode, len(ids))
-			for x, u := range ids {
-				cands[j][x] = ScoredNode{Node: u, Score: scores[u]}
+		for _, i := range missIdx {
+			res, err := e.dyn.QueryCandidatesCtx(ctx, req.Seeds[i], req.K)
+			if err != nil {
+				writeError(w, queryError(err))
+				return
 			}
-		})
-		if err != nil {
-			writeError(w, queryError(err))
-			return
-		}
-		for j, i := range missIdx {
-			cache.Put(keys[i], &answer{results: cands[j]})
-			out[i] = CandidateSeedResult{Seed: req.Seeds[i], Cache: "miss", Candidates: cands[j]}
+			cands := rankedResults(res)
+			cache.Put(keys[i], &answer{results: cands})
+			out[i] = CandidateSeedResult{Seed: req.Seeds[i], Cache: "miss", Candidates: cands}
 		}
 	}
 	s.logSlow("candidates", name, fmt.Sprintf("seeds=%d k=%d misses=%d", len(req.Seeds), req.K, len(missIdx)),

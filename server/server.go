@@ -16,6 +16,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,10 +132,6 @@ type entry struct {
 	opts    bear.Options
 	created time.Time
 	gen     uint64 // registration generation; part of every cache key
-
-	// vecs pools the graph's n-length score vectors (*[]float64) that
-	// cache misses solve into and rank in place; see borrowVec.
-	vecs sync.Pool
 }
 
 // New returns an empty server with defaults.
@@ -564,6 +561,40 @@ func refineGate(e *entry, refine float64) error {
 	return nil
 }
 
+// rankedResults is a top-k answer as response entries.
+func rankedResults(res *bear.TopKResult) []ScoredNode {
+	out := make([]ScoredNode, len(res.Nodes))
+	for i, node := range res.Nodes {
+		out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
+	}
+	return out
+}
+
+// solveSeed answers one seed's ranked read on a cache miss, for /query
+// and /batch alike: the top-k solve, bit-identical to ranking the full
+// score vector, or iterative refinement to tolerance refine when it is
+// positive.
+func (s *Server) solveSeed(ctx context.Context, e *entry, seed, top int, refine float64) ([]ScoredNode, error) {
+	if refine > 0 {
+		p := e.dyn.Precomputed()
+		if seed < 0 || seed >= p.N {
+			return nil, fmt.Errorf("seed %d out of range [0,%d)", seed, p.N)
+		}
+		q := make([]float64, p.N)
+		q[seed] = 1
+		scores, err := s.refineSolve(ctx, e, q, refine)
+		if err != nil {
+			return nil, err
+		}
+		return topResults(scores, top), nil
+	}
+	res, err := e.dyn.QueryTopKCtx(ctx, seed, top)
+	if err != nil {
+		return nil, err
+	}
+	return rankedResults(res), nil
+}
+
 // refineOne answers one starting distribution through iterative refinement
 // and records the refinement metrics (queries, sweeps, final residual).
 func (s *Server) refineOne(ctx context.Context, e *entry, q []float64, tol float64) ([]float64, bear.RefineStats, error) {
@@ -631,30 +662,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	hash := e.hasher("query").Int(seed).Byte(ei).Float64(refine).Int(top).Sum()
 	start := time.Now()
 	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
-		// The plain solve ranks a pooled vector; effective importance and
-		// refinement produce fresh vectors of their own.
-		var scores []float64
-		var err error
-		switch {
-		case useEI:
-			scores, err = e.dyn.Precomputed().QueryEffectiveImportanceCtx(ctx, seed)
-		case refine > 0:
-			p := e.dyn.Precomputed()
-			if seed < 0 || seed >= p.N {
-				return nil, fmt.Errorf("seed %d out of range [0,%d)", seed, p.N)
+		// Effective importance divides every score by its node's degree,
+		// so only it ranks a full score vector of its own.
+		if useEI {
+			scores, err := e.dyn.Precomputed().QueryEffectiveImportanceCtx(ctx, seed)
+			if err != nil {
+				return nil, err
 			}
-			q := make([]float64, p.N)
-			q[seed] = 1
-			scores, err = s.refineSolve(ctx, e, q, refine)
-		default:
-			return e.solvePooled(top, func(dst []float64) error {
-				return e.dyn.QueryToCtx(ctx, dst, seed)
-			})
+			return &answer{results: topResults(scores, top)}, nil
 		}
+		results, err := s.solveSeed(ctx, e, seed, top, refine)
 		if err != nil {
 			return nil, err
 		}
-		return &answer{results: topResults(scores, top)}, nil
+		return &answer{results: results}, nil
 	})
 	if err != nil {
 		writeError(w, queryError(err))
@@ -692,13 +713,16 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 	hash := e.hasher("pagerank").Int(top).Sum()
 	start := time.Now()
 	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
-		// The uniform starting vector is solved in place.
-		return e.solvePooled(top, func(q []float64) error {
-			for i := range q {
-				q[i] = 1 / float64(n)
-			}
-			return e.dyn.QueryDistToCtx(ctx, q, q)
-		})
+		// PageRank misses once per top and epoch, so its uniform starting
+		// vector is allocated here and solved in place.
+		q := make([]float64, n)
+		for i := range q {
+			q[i] = 1 / float64(n)
+		}
+		if err := e.dyn.QueryDistToCtx(ctx, q, q); err != nil {
+			return nil, err
+		}
+		return &answer{results: topResults(q, top)}, nil
 	})
 	if err != nil {
 		writeError(w, queryError(err))
@@ -748,11 +772,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := e.dyn.Graph().N()
-	// The starting vector is borrowed: a miss solves in place over it.
-	qv := e.borrowVec()
-	defer e.vecs.Put(qv)
-	q := *qv
-	clear(q)
+	dist := make(map[int]float64, len(req.Seeds))
 	for k, weight := range req.Seeds {
 		node, err := strconv.Atoi(k)
 		if err != nil || node < 0 || node >= n {
@@ -763,22 +783,28 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 			writeError(w, errBadRequest("seed %q weight %v must be a finite non-negative number", k, weight))
 			return
 		}
-		q[node] = weight
+		dist[node] = weight
+	}
+	// The distribution's support, in node order with zero weights dropped:
+	// the solve's input and the cache key's.
+	nodes := make([]int, 0, len(dist))
+	for node, weight := range dist {
+		if weight != 0 {
+			nodes = append(nodes, node)
+		}
 	}
 	// Per-weight validation allows 0 (a harmless no-op entry), but a map
 	// whose weights are *all* zero describes no starting distribution at
 	// all — solving it would cache and return an all-zero vector. Reject
 	// before the cache lookup.
-	allZero := true
-	for _, weight := range q {
-		if weight != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
+	if len(nodes) == 0 {
 		writeError(w, errBadRequest("seed weights must not all be zero"))
 		return
+	}
+	slices.Sort(nodes)
+	weights := make([]float64, len(nodes))
+	for i, node := range nodes {
+		weights[i] = dist[node]
 	}
 	top := req.Top
 	if top <= 0 {
@@ -802,25 +828,28 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	// Fold the normalized distribution (node-order, zeros skipped) so the
 	// hash is independent of JSON key order and duplicate spellings.
 	h := e.hasher("ppr")
-	for node, weight := range q {
-		if weight != 0 {
-			h = h.Int(node).Float64(weight)
-		}
+	for i, node := range nodes {
+		h = h.Int(node).Float64(weights[i])
 	}
 	hash := h.Float64(refine).Int(top).Sum()
 	start := time.Now()
 	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
-		scores := q
-		var err error
 		if refine > 0 {
-			scores, err = s.refineSolve(ctx, e, q, refine)
-		} else {
-			err = e.dyn.QueryDistToCtx(ctx, q, q)
+			q := make([]float64, n)
+			for i, node := range nodes {
+				q[node] = weights[i]
+			}
+			scores, err := s.refineSolve(ctx, e, q, refine)
+			if err != nil {
+				return nil, err
+			}
+			return &answer{results: topResults(scores, top)}, nil
 		}
+		res, err := e.dyn.QueryDistTopKCtx(ctx, nodes, weights, top)
 		if err != nil {
 			return nil, err
 		}
-		return &answer{results: topResults(scores, top)}, nil
+		return &answer{results: rankedResults(res)}, nil
 	})
 	if err != nil {
 		writeError(w, queryError(err))

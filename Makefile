@@ -34,6 +34,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSniffLoad -fuzztime=30s ./server/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSnapshot -fuzztime=30s ./server/
 	$(GO) test -run='^$$' -fuzz=FuzzCandidatesRequest -fuzztime=30s ./server/
+	$(GO) test -run='^$$' -fuzz=FuzzWireEncode -fuzztime=30s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=30s ./internal/wire/
 
 # Boot 3 real shards + a bearfront, kill one shard under load, assert
 # failover/ejection/repair over real sockets.

@@ -25,10 +25,12 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"bear/internal/retry"
+	"bear/internal/wire"
 	"bear/server"
 )
 
@@ -191,8 +193,56 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	if out == nil {
 		return nil
 	}
+	if p, ok := out.(parser); ok {
+		return readRanked(resp, p)
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
+
+// parser is a response target the wire parser fills without reflection:
+// the ranked bodies of /query, /pagerank, /ppr, /topk, /batch and
+// /candidates. Parse reports false, leaving the target untouched, for a
+// body outside the shapes the server writes.
+type parser interface {
+	Parse(body []byte) bool
+}
+
+// readBufs recycles ranked response bodies between reads; maxReadBuf
+// keeps a rare huge one out of the pool.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxReadBuf = 256 << 10
+
+// readRanked reads a ranked body once and parses it. When the parser
+// declines, the same bytes — followed by the read error, if the read
+// failed — go to encoding/json, so the result or error is the one
+// decoding the stream would have given.
+func readRanked(resp *http.Response, out parser) error {
+	buf := readBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxReadBuf {
+			readBufs.Put(buf)
+		}
+	}()
+	if n := resp.ContentLength; n > 0 && n <= maxReadBuf {
+		buf.Grow(int(n))
+	}
+	_, err := buf.ReadFrom(resp.Body)
+	if err == nil && out.Parse(buf.Bytes()) {
+		return nil
+	}
+	var rest io.Reader = buf
+	if err != nil {
+		rest = io.MultiReader(buf, errReader{err})
+	}
+	return json.NewDecoder(rest).Decode(out)
+}
+
+// errReader replays a read error after the bytes read before it.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 func readAPIError(resp *http.Response) error {
 	var apiErr struct {
@@ -338,14 +388,10 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/graphs/"+url.PathEscape(name), nil, false, nil)
 }
 
-type queryResponse struct {
-	Results []server.ScoredNode `json:"results"`
-}
-
 // Query returns the top-k RWR results for a single seed.
 func (c *Client) Query(ctx context.Context, name string, seed, top int) ([]server.ScoredNode, error) {
 	path := fmt.Sprintf("/v1/graphs/%s/query?seed=%d&top=%d", url.PathEscape(name), seed, top)
-	var out queryResponse
+	var out wire.Ranked
 	err := c.do(ctx, http.MethodGet, path, nil, true, &out)
 	return out.Results, err
 }
@@ -357,6 +403,8 @@ func (c *Client) Query(ctx context.Context, name string, seed, top int) ([]serve
 // the hot-path call.
 func (c *Client) QueryTraced(ctx context.Context, name string, seed, top int) ([]server.ScoredNode, []server.TraceSpan, error) {
 	path := fmt.Sprintf("/v1/graphs/%s/query?seed=%d&top=%d&trace=1", url.PathEscape(name), seed, top)
+	// Not a parser target: the parser drops trace arrays, so encoding/json
+	// decodes this body.
 	var out struct {
 		Results []server.ScoredNode `json:"results"`
 		Trace   []server.TraceSpan  `json:"trace"`
@@ -374,7 +422,7 @@ func (c *Client) QueryTraced(ctx context.Context, name string, seed, top int) ([
 func (c *Client) QueryRefined(ctx context.Context, name string, seed, top int, tol float64) ([]server.ScoredNode, error) {
 	path := fmt.Sprintf("/v1/graphs/%s/query?seed=%d&top=%d&refine=%s",
 		url.PathEscape(name), seed, top, url.QueryEscape(strconv.FormatFloat(tol, 'g', -1, 64)))
-	var out queryResponse
+	var out wire.Ranked
 	err := c.do(ctx, http.MethodGet, path, nil, true, &out)
 	return out.Results, err
 }
@@ -396,7 +444,7 @@ func (c *Client) Accuracy(ctx context.Context, name string, k int) (server.Accur
 // QueryEffectiveImportance returns top-k effective-importance results.
 func (c *Client) QueryEffectiveImportance(ctx context.Context, name string, seed, top int) ([]server.ScoredNode, error) {
 	path := fmt.Sprintf("/v1/graphs/%s/query?seed=%d&top=%d&ei=1", url.PathEscape(name), seed, top)
-	var out queryResponse
+	var out wire.Ranked
 	err := c.do(ctx, http.MethodGet, path, nil, true, &out)
 	return out.Results, err
 }
@@ -404,7 +452,7 @@ func (c *Client) QueryEffectiveImportance(ctx context.Context, name string, seed
 // PageRank returns the top-k global PageRank results.
 func (c *Client) PageRank(ctx context.Context, name string, top int) ([]server.ScoredNode, error) {
 	path := fmt.Sprintf("/v1/graphs/%s/pagerank?top=%d", url.PathEscape(name), top)
-	var out queryResponse
+	var out wire.Ranked
 	err := c.do(ctx, http.MethodGet, path, nil, true, &out)
 	return out.Results, err
 }
@@ -437,7 +485,7 @@ func (c *Client) PPR(ctx context.Context, name string, seeds map[int]float64, to
 	if err != nil {
 		return nil, err
 	}
-	var out queryResponse
+	var out wire.Ranked
 	// PPR is a read served over POST (the seed set rides in the body);
 	// replaying it is safe, so it retries like the GET queries.
 	err = c.do(ctx, http.MethodPost, "/v1/graphs/"+url.PathEscape(name)+"/ppr", buf, true, &out)
@@ -457,9 +505,7 @@ func (c *Client) QueryBatch(ctx context.Context, name string, seeds []int, top i
 	if err != nil {
 		return nil, err
 	}
-	var out struct {
-		Results []server.BatchSeedResult `json:"results"`
-	}
+	var out wire.Batch
 	// Like PPR, a read served over POST: replaying it is safe, so it
 	// retries like the GET queries.
 	err = c.do(ctx, http.MethodPost, "/v1/graphs/"+url.PathEscape(name)+"/batch", body, true, &out)
@@ -473,12 +519,17 @@ func (c *Client) QueryBatch(ctx context.Context, name string, seeds []int, top i
 // estimates, not exact), for example during a mixed-version rollout.
 func (c *Client) TopK(ctx context.Context, name string, seed, k int) (results []server.ScoredNode, pruned bool, err error) {
 	path := fmt.Sprintf("/v1/graphs/%s/topk?seed=%d&k=%d", url.PathEscape(name), seed, k)
-	var out struct {
-		Results []server.ScoredNode `json:"results"`
-		Pruned  bool                `json:"pruned"`
-	}
+	var out topKBody
 	err = c.do(ctx, http.MethodGet, path, nil, true, &out)
 	return out.Results, out.Pruned, err
+}
+
+// topKBody is a /topk body. The parser fills the embedded list; a body
+// from an older bearserve that carries "pruned" is outside its shape, so
+// encoding/json decodes both fields.
+type topKBody struct {
+	wire.Ranked
+	Pruned bool `json:"pruned"`
 }
 
 // Candidates returns per-seed link-prediction candidates: for each seed,
@@ -492,9 +543,7 @@ func (c *Client) Candidates(ctx context.Context, name string, seeds []int, k int
 	if err != nil {
 		return nil, err
 	}
-	var out struct {
-		Results []server.CandidateSeedResult `json:"results"`
-	}
+	var out wire.Candidates
 	// A read served over POST, like PPR and QueryBatch: safe to replay.
 	err = c.do(ctx, http.MethodPost, "/v1/graphs/"+url.PathEscape(name)+"/candidates", body, true, &out)
 	return out.Results, err

@@ -10,6 +10,7 @@ import (
 
 	"bear/internal/obsv"
 	"bear/internal/resultcache"
+	"bear/internal/wire"
 )
 
 // The serving layer caches ranked answers — the top entries of a query,
@@ -101,11 +102,7 @@ type batchRequest struct {
 }
 
 // BatchSeedResult is one seed's slot in a batch response.
-type BatchSeedResult struct {
-	Seed    int          `json:"seed"`
-	Cache   string       `json:"cache"` // hit | miss
-	Results []ScoredNode `json:"results"`
-}
+type BatchSeedResult = wire.BatchSeedResult
 
 // handleBatch answers POST /v1/graphs/{name}/batch: each seed is first
 // looked up in the result cache (sharing entries with the single-seed
@@ -147,7 +144,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if top > n {
 		top = n
 	}
-	refine, err := parseRefine(r)
+	q := r.URL.Query()
+	refine, err := parseRefine(q)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -159,7 +157,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, r)
+	ctx, tr, debug := s.traceContext(ctx, q)
 	start := time.Now()
 	cache := s.resultCache()
 	// One epoch read covers the whole batch, taken before any solving, so
@@ -196,15 +194,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out[i] = BatchSeedResult{Seed: req.Seeds[i], Cache: "miss", Results: results}
 		}
 	}
-	s.logSlow("batch", name, fmt.Sprintf("seeds=%d misses=%d", len(req.Seeds), len(missIdx)),
-		status, time.Since(start), tr)
+	s.logSlow("batch", name, status, time.Since(start), tr, func() string {
+		return fmt.Sprintf("seeds=%d misses=%d", len(req.Seeds), len(missIdx))
+	})
 	w.Header().Set("X-Cache", status)
-	resp := map[string]interface{}{
-		"graph":   name,
-		"results": out,
-	}
-	if debug {
-		resp["trace"] = traceSpans(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRanked(w, wire.Doc{Kind: wire.KindBatch, Graph: name, Batch: out}, tr, debug)
 }

@@ -13,17 +13,19 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
 	"bear/internal/obsv"
 	"bear/internal/resultcache"
+	"bear/internal/wire"
 )
 
 // parseK reads the ?k= parameter, defaulting to 10 and clamping to the
 // node count (mirroring parseTop's contract for the query endpoint).
-func parseK(r *http.Request, n int) (int, error) {
-	v := r.URL.Query().Get("k")
+func parseK(q url.Values, n int) (int, error) {
+	v := q.Get("k")
 	if v == "" {
 		return min(10, n), nil
 	}
@@ -48,7 +50,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errNotFound(name))
 		return
 	}
-	seedStr := r.URL.Query().Get("seed")
+	q := r.URL.Query()
+	seedStr := q.Get("seed")
 	seed, err := strconv.Atoi(seedStr)
 	if err != nil {
 		writeError(w, errBadRequest("seed %q must be an integer", seedStr))
@@ -59,14 +62,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("seed %d out of range [0,%d)", seed, n))
 		return
 	}
-	k, err := parseK(r, n)
+	k, err := parseK(q, n)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, r)
+	ctx, tr, debug := s.traceContext(ctx, q)
 	hash := e.hasher("topk").Int(seed).Int(k).Sum()
 	start := time.Now()
 	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
@@ -80,22 +83,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, queryError(err))
 		return
 	}
-	s.logSlow("topk", name, fmt.Sprintf("seed=%d k=%d", seed, k),
-		status, time.Since(start), tr)
+	s.logSlow("topk", name, status, time.Since(start), tr, func() string { return fmt.Sprintf("seed=%d k=%d", seed, k) })
 	w.Header().Set("X-Cache", status)
-	resp := map[string]interface{}{
-		"graph":   name,
-		"seed":    seed,
-		"k":       k,
-		"results": res.results,
-	}
-	if res.fallback != "" {
-		resp["fallback"] = res.fallback
-	}
-	if debug {
-		resp["trace"] = traceSpans(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRanked(w, wire.Doc{Kind: wire.KindTopK, Graph: name, Seed: seed, K: k, Fallback: res.fallback, Results: res.results}, tr, debug)
 }
 
 type candidatesRequest struct {
@@ -133,11 +123,7 @@ func parseCandidatesRequest(body io.Reader, n int) (candidatesRequest, error) {
 }
 
 // CandidateSeedResult is one seed's slot in a /candidates response.
-type CandidateSeedResult struct {
-	Seed       int          `json:"seed"`
-	Cache      string       `json:"cache"` // hit | miss
-	Candidates []ScoredNode `json:"candidates"`
-}
+type CandidateSeedResult = wire.CandidateSeedResult
 
 // handleCandidates answers POST /v1/graphs/{name}/candidates: for each
 // seed, the k highest-scoring nodes that are not the seed and not already
@@ -159,7 +145,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, r)
+	ctx, tr, debug := s.traceContext(ctx, r.URL.Query())
 	start := time.Now()
 	cache := s.resultCache()
 	// One epoch read covers the batch (see handleBatch): entries written
@@ -194,16 +180,9 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 			out[i] = CandidateSeedResult{Seed: req.Seeds[i], Cache: "miss", Candidates: cands}
 		}
 	}
-	s.logSlow("candidates", name, fmt.Sprintf("seeds=%d k=%d misses=%d", len(req.Seeds), req.K, len(missIdx)),
-		status, time.Since(start), tr)
+	s.logSlow("candidates", name, status, time.Since(start), tr, func() string {
+		return fmt.Sprintf("seeds=%d k=%d misses=%d", len(req.Seeds), req.K, len(missIdx))
+	})
 	w.Header().Set("X-Cache", status)
-	resp := map[string]interface{}{
-		"graph":   name,
-		"k":       req.K,
-		"results": out,
-	}
-	if debug {
-		resp["trace"] = traceSpans(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRanked(w, wire.Doc{Kind: wire.KindCandidates, Graph: name, K: req.K, Candidates: out}, tr, debug)
 }

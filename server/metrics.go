@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -334,8 +335,8 @@ func traceSpans(tr *obsv.Trace) []TraceSpan {
 // one: either the caller asked for the breakdown (?trace=1) or the server
 // samples every query for the slow-query log (TraceSlow > 0). Otherwise
 // ctx is returned untouched and the solver runs the nil-trace fast path.
-func (s *Server) traceContext(ctx context.Context, r *http.Request) (_ context.Context, tr *obsv.Trace, debug bool) {
-	debug = r.URL.Query().Get("trace") != ""
+func (s *Server) traceContext(ctx context.Context, q url.Values) (_ context.Context, tr *obsv.Trace, debug bool) {
+	debug = q.Get("trace") != ""
 	if !debug && s.TraceSlow <= 0 {
 		return ctx, nil, false
 	}
@@ -344,13 +345,14 @@ func (s *Server) traceContext(ctx context.Context, r *http.Request) (_ context.C
 }
 
 // logSlow emits the structured slow-query log line when a traced query
-// crossed the TraceSlow threshold.
-func (s *Server) logSlow(endpoint, graph, detail, cacheStatus string, elapsed time.Duration, tr *obsv.Trace) {
+// crossed the TraceSlow threshold; detail formats the request's
+// parameters, and runs only then.
+func (s *Server) logSlow(endpoint, graph, cacheStatus string, elapsed time.Duration, tr *obsv.Trace, detail func() string) {
 	if s.TraceSlow <= 0 || elapsed < s.TraceSlow || tr == nil {
 		return
 	}
 	s.logf("slow query: endpoint=%s graph=%s %s cache=%s elapsed=%s trace: %s",
-		endpoint, graph, detail, cacheStatus, elapsed.Round(time.Microsecond), tr)
+		endpoint, graph, detail(), cacheStatus, elapsed.Round(time.Microsecond), tr)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -16,6 +16,7 @@ import (
 	"log"
 	"math"
 	"net/http"
+	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -25,7 +26,9 @@ import (
 	"time"
 
 	"bear"
+	"bear/internal/obsv"
 	"bear/internal/resultcache"
+	"bear/internal/wire"
 )
 
 // Server is a registry of preprocessed graphs behind an http.Handler. The
@@ -299,10 +302,54 @@ func errNotFound(name string) error {
 	return &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("graph %q not found", name)}
 }
 
+// writeJSON answers status with v encoded by encoding/json. The body is
+// encoded before the status goes out, so a value encoding/json rejects
+// (a NaN score, say) answers 500 with a JSON error instead of the status
+// with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// writeEncodeError answers 500 for a response body that failed to encode.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "encoding response: " + err.Error()})
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write means the client went away
+}
+
+// rankedBufs recycles the ranked handlers' response buffers; maxRankedBuf
+// keeps a rare huge body (a /pagerank of every node) out of the pool.
+var rankedBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxRankedBuf = 256 << 10
+
+// writeRanked answers 200 with a ranked document, written by the wire
+// appender — encoding/json's bytes without its reflection — with the
+// request's trace when it asked for one (?trace=1).
+func writeRanked(w http.ResponseWriter, doc wire.Doc, tr *obsv.Trace, debug bool) {
+	if debug {
+		doc.Trace = traceSpans(tr)
+	}
+	bp := rankedBufs.Get().(*[]byte)
+	b, err := wire.Append((*bp)[:0], &doc)
+	if err != nil {
+		writeEncodeError(w, err)
+	} else {
+		writeBody(w, http.StatusOK, b)
+	}
+	if cap(b) <= maxRankedBuf {
+		*bp = b
+		rankedBufs.Put(bp)
+	}
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -494,10 +541,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // ScoredNode is one ranked result.
-type ScoredNode struct {
-	Node  int     `json:"node"`
-	Score float64 `json:"score"`
-}
+type ScoredNode = wire.ScoredNode
 
 func topResults(scores []float64, top int) []ScoredNode {
 	if top <= 0 {
@@ -518,8 +562,8 @@ func topResults(scores []float64, top int) []ScoredNode {
 
 // parseTop reads the ?top= parameter, defaulting to 10 and clamping to the
 // graph's node count n (?top=1000000000 returns every node, not an error).
-func parseTop(r *http.Request, n int) (int, error) {
-	v := r.URL.Query().Get("top")
+func parseTop(q url.Values, n int) (int, error) {
+	v := q.Get("top")
 	if v == "" {
 		return 10, nil
 	}
@@ -537,8 +581,8 @@ func parseTop(r *http.Request, n int) (int, error) {
 // and batch endpoints: 0 (or absent) answers through the plain solver,
 // a positive tolerance answers through iterative refinement against the
 // retained exact H until the relative residual falls below it.
-func parseRefine(r *http.Request) (float64, error) {
-	v := r.URL.Query().Get("refine")
+func parseRefine(q url.Values) (float64, error) {
+	v := q.Get("refine")
 	if v == "" {
 		return 0, nil
 	}
@@ -621,23 +665,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errNotFound(name))
 		return
 	}
-	seedStr := r.URL.Query().Get("seed")
+	q := r.URL.Query()
+	seedStr := q.Get("seed")
 	seed, err := strconv.Atoi(seedStr)
 	if err != nil {
 		writeError(w, errBadRequest("seed %q must be an integer", seedStr))
 		return
 	}
-	top, err := parseTop(r, e.dyn.Graph().N())
+	top, err := parseTop(q, e.dyn.Graph().N())
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	useEI := r.URL.Query().Get("ei") != ""
+	useEI := q.Get("ei") != ""
 	if useEI && e.dyn.PendingNodes() > 0 {
 		writeError(w, errBadRequest("effective importance requires a rebuild after updates"))
 		return
 	}
-	refine, err := parseRefine(r)
+	refine, err := parseRefine(q)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -652,7 +697,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, r)
+	ctx, tr, debug := s.traceContext(ctx, q)
 	var ei byte
 	if useEI {
 		ei = 1
@@ -681,17 +726,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, queryError(err))
 		return
 	}
-	s.logSlow("query", name, fmt.Sprintf("seed=%d", seed), status, time.Since(start), tr)
+	s.logSlow("query", name, status, time.Since(start), tr, func() string { return fmt.Sprintf("seed=%d", seed) })
 	w.Header().Set("X-Cache", status)
-	resp := map[string]interface{}{
-		"graph":   name,
-		"seed":    seed,
-		"results": res.results,
-	}
-	if debug {
-		resp["trace"] = traceSpans(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRanked(w, wire.Doc{Kind: wire.KindQuery, Graph: name, Seed: seed, Results: res.results}, tr, debug)
 }
 
 func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
@@ -702,14 +739,15 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := e.dyn.Graph().N()
-	top, err := parseTop(r, n)
+	q := r.URL.Query()
+	top, err := parseTop(q, n)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, r)
+	ctx, tr, debug := s.traceContext(ctx, q)
 	hash := e.hasher("pagerank").Int(top).Sum()
 	start := time.Now()
 	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
@@ -728,16 +766,9 @@ func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
 		writeError(w, queryError(err))
 		return
 	}
-	s.logSlow("pagerank", name, fmt.Sprintf("top=%d", top), status, time.Since(start), tr)
+	s.logSlow("pagerank", name, status, time.Since(start), tr, func() string { return fmt.Sprintf("top=%d", top) })
 	w.Header().Set("X-Cache", status)
-	resp := map[string]interface{}{
-		"graph":   name,
-		"results": res.results,
-	}
-	if debug {
-		resp["trace"] = traceSpans(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRanked(w, wire.Doc{Kind: wire.KindList, Graph: name, Results: res.results}, tr, debug)
 }
 
 // queryError classifies a failure out of the solver: context errors keep
@@ -813,7 +844,8 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if top > n {
 		top = n
 	}
-	refine, err := parseRefine(r)
+	q := r.URL.Query()
+	refine, err := parseRefine(q)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -824,7 +856,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, r)
+	ctx, tr, debug := s.traceContext(ctx, q)
 	// Fold the normalized distribution (node-order, zeros skipped) so the
 	// hash is independent of JSON key order and duplicate spellings.
 	h := e.hasher("ppr")
@@ -855,16 +887,9 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		writeError(w, queryError(err))
 		return
 	}
-	s.logSlow("ppr", name, fmt.Sprintf("seeds=%d", len(req.Seeds)), status, time.Since(start), tr)
+	s.logSlow("ppr", name, status, time.Since(start), tr, func() string { return fmt.Sprintf("seeds=%d", len(req.Seeds)) })
 	w.Header().Set("X-Cache", status)
-	resp := map[string]interface{}{
-		"graph":   name,
-		"results": res.results,
-	}
-	if debug {
-		resp["trace"] = traceSpans(tr)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRanked(w, wire.Doc{Kind: wire.KindList, Graph: name, Results: res.results}, tr, debug)
 }
 
 type edgeRequest struct {

@@ -420,17 +420,12 @@ func BenchmarkQueryThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelPreprocess measures the per-block parallel preprocessing
-// against the sequential path.
-func BenchmarkParallelPreprocess(b *testing.B) {
+// BenchmarkPreprocess runs Algorithm 1 end to end on the trust graph.
+func BenchmarkPreprocess(b *testing.B) {
 	g := benchDataset(b, "trust")
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Preprocess(g, core.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Preprocess(g, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -58,7 +58,6 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry lifetime (0 = until evicted; invalidation is by epoch, not TTL)")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof (empty = disabled); keep it off public interfaces")
 	metrics := flag.Bool("metrics", true, "serve Prometheus metrics at GET /metrics")
-	kern := flag.String("kernel", "", "query-kernel layout: auto|csr|sell (default auto: sell for matrices of >=256 rows with <=2 entries per row, csr otherwise)")
 	ord := flag.String("ordering", "", "reordering engine: slashburn|mindeg (default slashburn)")
 	traceSlow := flag.Duration("trace-slow", 0, "trace every query and log a per-stage breakdown for ones slower than this (0 = off), e.g. -trace-slow=50ms")
 	flag.Var(&graphs, "graph", "name=path of a graph to preprocess at startup (repeatable)")
@@ -74,7 +73,6 @@ func main() {
 	s.CacheTTL = *cacheTTL
 	s.EnableMetrics = *metrics
 	s.TraceSlow = *traceSlow
-	s.DefaultKernel = *kern
 	s.DefaultOrdering = *ord
 
 	if *pprofAddr != "" {
@@ -109,7 +107,7 @@ func main() {
 		}
 	}
 
-	opts := bear.Options{C: *c, DropTol: *drop, Kernel: *kern, Ordering: *ord}
+	opts := bear.Options{C: *c, DropTol: *drop, Ordering: *ord}
 	for _, spec := range graphs {
 		name, path, _ := strings.Cut(spec, "=")
 		if err := loadInto(s, name, path, opts); err != nil {

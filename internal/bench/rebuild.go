@@ -121,10 +121,13 @@ func measureRebuildSweep(cfg Config, wanted func(dataset string, churn float64) 
 			return nil, err
 		}
 		g := d.Make(cfg.Scale)
-		p, err := core.Preprocess(g, core.Options{RetainRebuildCache: true})
+		// A Dynamic's own preprocessing retains the Schur-assembly cache
+		// the incremental leg patches; every leg restores from its index.
+		dyn, err := core.NewDynamic(g, core.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("rebuild %s: %w", name, err)
 		}
+		p := dyn.Precomputed()
 		n := g.N()
 		var hubs, spokes []int
 		for u := 0; u < n; u++ {

@@ -147,19 +147,41 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestDenseVsSparseSchurPathsAgree factors the same Schur complement on
+// both paths of factorSchur — dense partial-pivoted LU below the cutoff,
+// sparse no-pivot LU above it — and checks that queries agree.
 func TestDenseVsSparseSchurPathsAgree(t *testing.T) {
 	g := gen.RMAT(gen.NewRMATPul(300, 1800, 0.6, 25))
-	dense, err := Preprocess(g, Options{K: 3, DenseSchurCutoff: 1 << 20})
+	d, err := NewDynamic(g, Options{K: 3})
 	if err != nil {
-		t.Fatalf("dense path: %v", err)
+		t.Fatalf("NewDynamic: %v", err)
 	}
-	sparsePath, err := Preprocess(g, Options{K: 3, DenseSchurCutoff: 1})
-	if err != nil {
-		t.Fatalf("sparse path: %v", err)
-	}
+	dense := d.Precomputed()
 	if dense.N2 <= 1 {
 		t.Skip("needs more than one hub to exercise the Schur factorization")
 	}
+	s := schurComplement(dense.incr.h22, dense.H21, dense.incr.t2)
+	l2inv, _, _, err := factorSchur(s, 1<<20)
+	if err != nil {
+		t.Fatalf("dense path: %v", err)
+	}
+	if !csrBitsEqual(l2inv, dense.L2Inv) {
+		t.Fatal("the cached Schur complement does not reproduce the preprocessed factors")
+	}
+	sparsePath := &Precomputed{
+		N: dense.N, N1: dense.N1, N2: dense.N2, C: dense.C,
+		Blocks: dense.Blocks, Perm: dense.Perm, InvPerm: dense.InvPerm,
+		L1Inv: dense.L1Inv, U1Inv: dense.U1Inv, H12: dense.H12, H21: dense.H21,
+		OutDegree: dense.OutDegree,
+	}
+	sparsePath.L2Inv, sparsePath.U2Inv, sparsePath.SPerm, err = factorSchur(s, 1)
+	if err != nil {
+		t.Fatalf("sparse path: %v", err)
+	}
+	if sparsePath.SPerm != nil {
+		t.Fatal("sparse path pivoted")
+	}
+	sparsePath.finish()
 	rd, _ := dense.Query(17)
 	rs, _ := sparsePath.Query(17)
 	if d := maxAbsDiff(rd, rs); d > 1e-9 {

@@ -102,42 +102,3 @@ func TestNoHubOrderStillExact(t *testing.T) {
 		t.Fatalf("NoHubOrder broke exactness: diff %g", d)
 	}
 }
-
-func TestParallelPreprocessBitIdentical(t *testing.T) {
-	// Workers > 1 must produce bit-identical precomputed matrices: the
-	// block factorizations never mix arithmetic across blocks.
-	g := gen.RMAT(gen.NewRMATPul(500, 3000, 0.7, 44))
-	seq, err := Preprocess(g, Options{K: 3, Workers: 1})
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	par, err := Preprocess(g, Options{K: 3, Workers: -1})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	pairs := [][2]interface{}{
-		{seq.L1Inv.Val, par.L1Inv.Val},
-		{seq.U1Inv.Val, par.U1Inv.Val},
-		{seq.L2Inv.Val, par.L2Inv.Val},
-		{seq.U2Inv.Val, par.U2Inv.Val},
-		{seq.H12.Val, par.H12.Val},
-		{seq.H21.Val, par.H21.Val},
-	}
-	for i, pr := range pairs {
-		a := pr[0].([]float64)
-		b := pr[1].([]float64)
-		if len(a) != len(b) {
-			t.Fatalf("matrix %d: nnz %d vs %d", i, len(a), len(b))
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("matrix %d differs at entry %d: %g vs %g", i, k, a[k], b[k])
-			}
-		}
-	}
-	rs, _ := seq.Query(7)
-	rp, _ := par.Query(7)
-	if d := maxAbsDiff(rs, rp); d != 0 {
-		t.Fatalf("parallel preprocessing changed query results by %g", d)
-	}
-}

@@ -16,7 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -31,10 +31,14 @@ import (
 
 // Default parameter values, matching the paper's experimental settings.
 const (
-	DefaultC                = 0.05  // restart probability (Section 4.1)
-	DefaultHubRatio         = 0.001 // SlashBurn k = 0.001·n (Section 4.1)
-	DefaultDenseSchurCutoff = 4096  // largest n₂ factored densely
+	DefaultC        = 0.05  // restart probability (Section 4.1)
+	DefaultHubRatio = 0.001 // SlashBurn k = 0.001·n (Section 4.1)
 )
+
+// denseSchurCutoff is the largest hub count n₂ whose Schur complement is
+// factored with dense partial-pivoted LU; larger ones use sparse no-pivot
+// LU (see factorSchur).
+const denseSchurCutoff = 4096
 
 // Options configures BEAR preprocessing.
 type Options struct {
@@ -59,21 +63,11 @@ type Options struct {
 	// adjacency Ã to the normalized graph Laplacian D⁻¹ᐟ²AD⁻¹ᐟ²
 	// (Section 3.4, "RWR with normalized graph Laplacian").
 	Laplacian bool
-	// DenseSchurCutoff is the largest hub count n₂ for which the Schur
-	// complement is factored with dense partial-pivoted LU; larger Schur
-	// complements use sparse no-pivot LU. Zero selects the default.
-	DenseSchurCutoff int
 	// NoHubOrder disables line 7 of Algorithm 1 (reordering hubs by their
 	// degree in S before factoring it). Exactness is unaffected; the
 	// factors of S just fill in more. Exposed for the ablation experiment
 	// that quantifies that design choice.
 	NoHubOrder bool
-	// Workers fans the per-block factorization of H₁₁ and the Schur
-	// complement products out over goroutines. The diagonal blocks are
-	// independent (Lemma 1), so results are bit-identical to the
-	// sequential path. Zero or one runs sequentially, matching the
-	// paper's single-threaded measurements; negative selects GOMAXPROCS.
-	Workers int
 	// KeepH retains the permuted system matrix H = I − (1−c)Ãᵀ alongside
 	// the factors. H is never subject to the drop tolerance, so it is the
 	// exact operator the factors approximate — which is what Residual and
@@ -81,23 +75,6 @@ type Options struct {
 	// extra copy of |H| ≈ |E| nonzeros in memory and in the precompute
 	// file.
 	KeepH bool
-	// RetainRebuildCache keeps the Schur-assembly intermediates
-	// (U₁⁻¹L₁⁻¹H₁₂ and H₂₂, in the final hub order) alongside the factors,
-	// which is what the incremental rebuild path needs to patch
-	// S = H₂₂ − H₂₁·(U₁⁻¹L₁⁻¹H₁₂) without re-running the full assembly.
-	// Dynamic forces it on for its own preprocessing passes; static
-	// consumers leave it off and pay no extra memory. The cache is derived
-	// state: it is never serialized (a loaded index falls back to one full
-	// rebuild, which repopulates it) and never counted by Bytes(). It is
-	// only retained for exact indexes (DropTol == 0) on the row-normalized
-	// transition matrix — the two preconditions of incremental rebuilds.
-	RetainRebuildCache bool
-	// Kernel selects the query-time kernel layout (internal/sparse/kernel):
-	// "" or "auto" picks per matrix (SELL-C-σ for matrices of at least 256
-	// rows with at most 2 stored entries per row, CSR otherwise); "csr"
-	// and "sell" force one layout everywhere. Every setting gives
-	// bit-identical answers; only speed differs.
-	Kernel string
 }
 
 func (o Options) withDefaults() Options {
@@ -106,9 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HubRatio == 0 {
 		o.HubRatio = DefaultHubRatio
-	}
-	if o.DenseSchurCutoff == 0 {
-		o.DenseSchurCutoff = DefaultDenseSchurCutoff
 	}
 	return o
 }
@@ -181,14 +155,16 @@ type Precomputed struct {
 	// incr caches the Schur-assembly intermediates the incremental rebuild
 	// path patches instead of recomputing: t2 = U₁⁻¹L₁⁻¹H₁₂ (n₁×n₂, rows
 	// partitioned by the diagonal blocks of H₁₁) and h22 (n₂×n₂), both in
-	// the final hub order. Retained only when preprocessing ran with
-	// Options.RetainRebuildCache on an exact, row-normalized index; nil
-	// otherwise (and after Load — the cache is derived, never serialized).
+	// the final hub order. Retained only by a Dynamic's own preprocessing
+	// passes (NewDynamic and full rebuilds) on an exact, row-normalized
+	// index — the two preconditions of incremental rebuilds; nil otherwise
+	// (and after Load — the cache is derived, never serialized, and never
+	// counted by Bytes).
 	incr *rebuildCache
 
 	// kern holds the kernel-layer views of the factor matrices through
-	// which every query-time product runs; layouts are chosen by
-	// initKernels at Preprocess/Load time. Derived, never serialized.
+	// which every query-time product runs; layouts are chosen per matrix
+	// by finish. Derived, never serialized.
 	kern struct {
 		l1inv, u1inv kernel.Matrix
 		h12, h21     kernel.Matrix
@@ -205,28 +181,54 @@ type Precomputed struct {
 	// isolated holds one bit per diagonal block of H₁₁, set when the
 	// stored H₂₁ has no entry in the block's columns: no right-hand side
 	// supported on the block reaches a hub (see solveIsolated). Derived by
-	// initDerived, never serialized.
+	// finish, never serialized.
 	isolated []uint64
 }
 
-// initDerived fills the fields computed from the serialized ones; it must
-// run after Blocks and H₂₁ are final (Preprocess, Load and the incremental
-// rebuild call it).
-func (p *Precomputed) initDerived() {
-	p.BlockOffsets = make([]int, len(p.Blocks)+1)
-	for i, sz := range p.Blocks {
-		p.BlockOffsets[i+1] = p.BlockOffsets[i] + sz
+// finish is the last step of Algorithm 1, shared by Preprocess, the
+// incremental rebuild and Load: once the serialized fields are final it
+// derives the block offsets and the isolated-block bits and builds the
+// kernel-layer views every query-time product runs through. An H₁₂ view
+// the caller already set is kept: the incremental rebuild hands over the
+// one it shares with the old index.
+//
+// A block is isolated when the stored H₂₁ has no entry in its columns. The
+// bits come from one pass marking H₂₁'s columns and one pass over the
+// blocks.
+func (p *Precomputed) finish() {
+	p.BlockOffsets = blockOffsets(p.Blocks)
+	hit := make([]bool, p.N1)
+	for _, j := range p.H21.ColIdx {
+		hit[j] = true
 	}
 	p.isolated = make([]uint64, (len(p.Blocks)+63)/64)
 	for bi := range p.Blocks {
-		p.isolated[bi/64] |= 1 << (bi % 64)
-	}
-	if p.H21 != nil {
-		for _, j := range p.H21.ColIdx {
-			bi := p.blockOfPos(j)
-			p.isolated[bi/64] &^= 1 << (bi % 64)
+		if !slices.Contains(hit[p.BlockOffsets[bi]:p.BlockOffsets[bi+1]], true) {
+			p.isolated[bi/64] |= 1 << (bi % 64)
 		}
 	}
+
+	p.kern.l1inv = kernel.New(p.L1Inv)
+	p.kern.u1inv = kernel.New(p.U1Inv)
+	if p.kern.h12 == nil {
+		p.kern.h12 = kernel.New(p.H12)
+	}
+	p.kern.h21 = kernel.New(p.H21)
+	p.kern.l2inv = kernel.New(p.L2Inv)
+	p.kern.u2inv = kernel.New(p.U2Inv)
+	if p.H != nil {
+		p.kern.h = kernel.New(p.H)
+	}
+}
+
+// blockOffsets returns the prefix sums of the diagonal block sizes: block
+// i covers internal positions [off[i], off[i+1]).
+func blockOffsets(blocks []int) []int {
+	off := make([]int, len(blocks)+1)
+	for i, sz := range blocks {
+		off[i+1] = off[i] + sz
+	}
+	return off
 }
 
 // isolatedBlock returns the diagonal block of the spoke at internal
@@ -245,45 +247,6 @@ func (p *Precomputed) blockIsolated(bi int) bool {
 	return p.isolated[bi/64]&(1<<(bi%64)) != 0
 }
 
-// initKernels builds the kernel-layer views of the factor matrices; it
-// must run after the factor fields are final (both Preprocess and Load
-// call it). An empty spec selects the per-matrix auto heuristic.
-func (p *Precomputed) initKernels(spec string) error {
-	cfg, err := kernel.ParseConfig(spec)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	p.kern.l1inv = kernel.New(p.L1Inv, cfg)
-	p.kern.u1inv = kernel.New(p.U1Inv, cfg)
-	p.kern.h12 = kernel.New(p.H12, cfg)
-	p.kern.h21 = kernel.New(p.H21, cfg)
-	p.kern.l2inv = kernel.New(p.L2Inv, cfg)
-	p.kern.u2inv = kernel.New(p.U2Inv, cfg)
-	p.kern.h = nil
-	if p.H != nil {
-		p.kern.h = kernel.New(p.H, cfg)
-	}
-	return nil
-}
-
-// KernelLayouts reports the layout chosen for each factor matrix, keyed
-// by the factor's Algorithm 1 name — observability for the auto
-// heuristic and the -kernel override.
-func (p *Precomputed) KernelLayouts() map[string]string {
-	out := map[string]string{
-		"l1inv": p.kern.l1inv.Layout(),
-		"u1inv": p.kern.u1inv.Layout(),
-		"h12":   p.kern.h12.Layout(),
-		"h21":   p.kern.h21.Layout(),
-		"l2inv": p.kern.l2inv.Layout(),
-		"u2inv": p.kern.u2inv.Layout(),
-	}
-	if p.kern.h != nil {
-		out["h"] = p.kern.h.Layout()
-	}
-	return out
-}
-
 // PreprocessCtx is Preprocess with cooperative cancellation and per-stage
 // observability. The context is checked between the stages of Algorithm 1 —
 // after the ordering, before each diagonal block of the H₁₁ factorization,
@@ -294,27 +257,20 @@ func (p *Precomputed) KernelLayouts() map[string]string {
 // (the split Figure 8 of the paper reports) are recorded into the
 // obsv.Trace carried by ctx, if any.
 func PreprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precomputed, error) {
-	p, err := preprocessCtx(ctx, g, opts)
-	if err != nil {
-		return nil, err
-	}
-	if tr := obsv.FromContext(ctx); tr != nil {
-		tr.Add(obsv.SpanOrdering, p.Stats.TimeOrdering)
-		tr.Add(obsv.SpanBlockLU, p.Stats.TimeLU1)
-		tr.Add(obsv.SpanSchurAssembly, p.Stats.TimeSchur)
-		tr.Add(obsv.SpanSchurFactor, p.Stats.TimeLU2)
-	}
-	return p, nil
+	return preprocessCtx(ctx, g, opts, false)
 }
 
 // Preprocess runs Algorithm 1 of the paper on g without a cancellation
 // point; it is PreprocessCtx with a background context.
 func Preprocess(g *graph.Graph, opts Options) (*Precomputed, error) {
-	return preprocessCtx(context.Background(), g, opts)
+	return preprocessCtx(context.Background(), g, opts, false)
 }
 
-// preprocessCtx runs Algorithm 1, polling ctx between stages.
-func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precomputed, error) {
+// preprocessCtx runs Algorithm 1 straight through, polling ctx between
+// stages. retain keeps the Schur-assembly intermediates the incremental
+// rebuild patches (see rebuildCache); a Dynamic asks for them on its own
+// passes, and they are kept only for exact, row-normalized indexes.
+func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options, retain bool) (*Precomputed, error) {
 	opts = opts.withDefaults()
 	if opts.C <= 0 || opts.C >= 1 {
 		return nil, fmt.Errorf("core: restart probability %g outside (0,1)", opts.C)
@@ -322,11 +278,8 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	if opts.DropTol < 0 {
 		return nil, fmt.Errorf("core: negative drop tolerance %g", opts.DropTol)
 	}
-	// Reject a bad kernel spec or unknown ordering before minutes of
-	// preprocessing, not after.
-	if _, err := kernel.ParseConfig(opts.Kernel); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+	// Reject an unknown ordering before minutes of preprocessing, not
+	// after.
 	ord, err := ordering.Get(opts.Ordering)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -372,81 +325,29 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	perm := append([]int(nil), sb.Perm...)
 	invPerm := append([]int(nil), sb.InvPerm...)
 
-	// Line 4: permute and partition H.
+	// Line 4: permute and partition H. H₁₁ is never extracted whole: line 5
+	// reads each diagonal block straight out of the permuted H.
 	hp := h.Permute(perm, perm)
 	n1 := p.N1
-	h11 := hp.Submatrix(0, n1, 0, n1)
 	h12 := hp.Submatrix(0, n1, n1, n).ToCSR()
 	h21 := hp.Submatrix(n1, n, 0, n1).ToCSR()
 	h22 := hp.Submatrix(n1, n, n1, n).ToCSR()
 
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-
-	// Line 5: LU-decompose H₁₁ and invert the factors. Gilbert–Peierls on a
-	// block-diagonal matrix factors each block independently (Lemma 1), and
-	// the reach-limited triangular inversion preserves the block structure —
-	// which also makes the blocks embarrassingly parallel.
+	// Line 5: LU-decompose H₁₁ block by block and invert the factors.
 	tlu1 := time.Now()
-	var l1inv, u1inv *sparse.CSR
-	if n1 == 0 {
-		// Everything is a hub (possible for degenerate graphs under the
-		// non-default engines): H₁₁ is empty and the Schur complement is
-		// all of H.
-		l1inv = sparse.NewCSR(0, 0, nil)
-		u1inv = sparse.NewCSR(0, 0, nil)
-	} else if len(sb.Blocks) > 1 {
-		// The per-block path is bit-identical to whole-matrix LU (Lemma 1)
-		// even at workers == 1, and it gives cancellation a per-block poll
-		// point, so any multi-block H₁₁ takes it.
-		li, ui, err := sparse.BlockDiagLUInverseCancel(h11, sb.Blocks, workers, ctx.Err)
-		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-				return nil, fmt.Errorf("core: preprocessing aborted during block LU: %w", err)
-			}
-			return nil, fmt.Errorf("core: factoring H11 blocks: %w", err)
-		}
-		l1inv, u1inv = li, ui
-	} else {
-		f1, err := sparse.LU(h11)
-		if err != nil {
-			return nil, fmt.Errorf("core: LU of H11: %w", err)
-		}
-		l1invCSC, err := sparse.InverseLower(f1.L, true)
-		if err != nil {
-			return nil, fmt.Errorf("core: inverting L1: %w", err)
-		}
-		u1invCSC, err := sparse.InverseUpper(f1.U)
-		if err != nil {
-			return nil, fmt.Errorf("core: inverting U1: %w", err)
-		}
-		l1inv = l1invCSC.ToCSR()
-		u1inv = u1invCSC.ToCSR()
+	l1inv, u1inv, err := factorBlocks(ctx, hp, blockOffsets(sb.Blocks))
+	if err != nil {
+		return nil, fmt.Errorf("core: preprocessing: %w", err)
 	}
 	timeLU1 := time.Since(tlu1)
 
 	// Line 6: Schur complement S = H₂₂ − H₂₁ U₁⁻¹ L₁⁻¹ H₁₂.
 	tschur := time.Now()
-	var s, t2 *sparse.CSR
-	if p.N2 > 0 {
-		t1 := sparse.ParallelMul(l1inv, h12, workers)
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: preprocessing aborted during Schur assembly: %w", err)
-		}
-		t2 = sparse.ParallelMul(u1inv, t1, workers)
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: preprocessing aborted during Schur assembly: %w", err)
-		}
-		t3 := sparse.ParallelMul(h21, t2, workers)
-		s = sparse.Sub(h22, t3).Prune()
-	} else {
-		s = sparse.NewCSR(0, 0, nil)
+	t2 := sparse.Mul(u1inv, sparse.Mul(l1inv, h12))
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: preprocessing aborted during Schur assembly: %w", err)
 	}
+	s := schurComplement(h22, h21, t2)
 	timeSchur := time.Since(tschur)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: preprocessing aborted after Schur assembly: %w", err)
@@ -471,7 +372,7 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 
 	// Line 8: LU-decompose S and invert the factors.
 	tlu2 := time.Now()
-	l2inv, u2inv, sperm, err := factorSchur(s, opts.DenseSchurCutoff)
+	l2inv, u2inv, sperm, err := factorSchur(s, denseSchurCutoff)
 	if err != nil {
 		return nil, fmt.Errorf("core: factoring Schur complement: %w", err)
 	}
@@ -494,15 +395,12 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	// the per-entry accumulation order, so the cached t2 is bit-identical
 	// to recomputing it from the reordered H₁₂ — the property the
 	// incremental-vs-pinned-full equivalence test pins down.
-	if opts.RetainRebuildCache && opts.DropTol == 0 && !opts.Laplacian {
-		rc := &rebuildCache{t2: t2, h22: h22}
-		if p.N2 == 0 {
-			rc.t2 = sparse.NewCSR(n1, 0, nil)
-		} else if hubPerm != nil {
-			rc.t2 = t2.Permute(nil, hubPerm)
-			rc.h22 = h22.Permute(hubPerm, hubPerm)
+	if retain && opts.DropTol == 0 && !opts.Laplacian {
+		if hubPerm != nil {
+			t2 = t2.Permute(nil, hubPerm)
+			h22 = h22.Permute(hubPerm, hubPerm)
 		}
-		p.incr = rc
+		p.incr = &rebuildCache{t2: t2, h22: h22}
 	}
 
 	// Retain the exact permuted operator if asked. Built from the original
@@ -524,10 +422,7 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 	p.U2Inv = u2inv
 	p.SPerm = sperm
 	p.OutDegree = weightedOutDegrees(g)
-	p.initDerived()
-	if err := p.initKernels(opts.Kernel); err != nil {
-		return nil, err
-	}
+	p.finish()
 	p.Stats = Stats{
 		N: n, M: g.M(), N1: p.N1, N2: p.N2,
 		NumBlocks:     len(sb.Blocks),
@@ -544,7 +439,104 @@ func preprocessCtx(ctx context.Context, g *graph.Graph, opts Options) (*Precompu
 		TimeLU2:       timeLU2,
 		TimeTotal:     time.Since(start),
 	}
+	if tr := obsv.FromContext(ctx); tr != nil {
+		tr.Add(obsv.SpanOrdering, timeOrdering)
+		tr.Add(obsv.SpanBlockLU, timeLU1)
+		tr.Add(obsv.SpanSchurAssembly, timeSchur)
+		tr.Add(obsv.SpanSchurFactor, timeLU2)
+	}
 	return p, nil
+}
+
+// factorBlocks is line 5 of Algorithm 1 over every diagonal block of H₁₁:
+// block b spans rows and columns [off[b], off[b+1]) of h, which may be the
+// whole permuted H (only the blocks' own entries are used). It returns
+// L₁⁻¹ and U₁⁻¹ in CSR form. Gilbert–Peierls never mixes arithmetic across
+// blocks (Lemma 1), so the result is bit-identical to factoring and
+// inverting H₁₁ whole.
+func factorBlocks(ctx context.Context, h *sparse.CSC, off []int) (l1inv, u1inv *sparse.CSR, err error) {
+	ls := make([]*sparse.CSR, len(off)-1)
+	us := make([]*sparse.CSR, len(off)-1)
+	for b := range ls {
+		lo, hi := off[b], off[b+1]
+		if ls[b], us[b], err = factorBlock(ctx, b, h.Submatrix(lo, hi, lo, hi)); err != nil {
+			return nil, nil, err
+		}
+	}
+	return sparse.BlockDiag(ls), sparse.BlockDiag(us), nil
+}
+
+// factorBlock LU-decomposes diagonal block b of H₁₁ and inverts both
+// factors (L unit lower, U upper), in CSR form. It polls ctx first, so a
+// cancelled pass stops between blocks with an error matching
+// errors.Is(err, ctx.Err()); every error names the block.
+func factorBlock(ctx context.Context, b int, blk *sparse.CSC) (li, ui *sparse.CSR, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("aborted before block %d: %w", b, err)
+	}
+	f, err := sparse.LU(blk)
+	if err != nil {
+		return nil, nil, fmt.Errorf("block %d: %w", b, err)
+	}
+	l, err := sparse.InverseLower(f.L, true)
+	if err != nil {
+		return nil, nil, fmt.Errorf("block %d: inverting L: %w", b, err)
+	}
+	u, err := sparse.InverseUpper(f.U)
+	if err != nil {
+		return nil, nil, fmt.Errorf("block %d: inverting U: %w", b, err)
+	}
+	return l.ToCSR(), u.ToCSR(), nil
+}
+
+// hColumn appends column pos of the permuted system matrix
+// H = I − (1−c)Ãᵀ to col, built from g's out-row of the node at internal
+// position pos, as (row, pos, value) coordinates in internal positions;
+// the diagonal entry comes last. It reproduces graph.HMatrixCSC's
+// arithmetic bit for bit: normalize by the row's weight, scale by −(1−c),
+// fold a self-loop into the diagonal, and keep the explicit −0 entries of
+// a zero-weight row (they are structural nonzeros to the LU).
+func (p *Precomputed) hColumn(col []sparse.Coord, g *graph.Graph, pos int) []sparse.Coord {
+	u := p.InvPerm[pos]
+	dst, w := g.Out(u)
+	total := outWeight(g, u)
+	diag := 1.0
+	for k, v := range dst {
+		var wn float64
+		if total > 0 {
+			wn = w[k] / total
+		}
+		val := wn * -(1 - p.C)
+		if pv := p.Perm[v]; pv == pos {
+			diag += val
+		} else {
+			col = append(col, sparse.Coord{Row: pv, Col: pos, Val: val})
+		}
+	}
+	return append(col, sparse.Coord{Row: pos, Col: pos, Val: diag})
+}
+
+// h11Block builds diagonal block [lo,hi) of the permuted H₁₁ from g's rows
+// in CSC form, bit-identical to extracting it from
+// g.HMatrixCSC(c, false).Permute(Perm, Perm). Entries outside the block
+// (the hub rows, which belong to H₂₁) are skipped.
+func (p *Precomputed) h11Block(g *graph.Graph, lo, hi int) *sparse.CSC {
+	var col, coords []sparse.Coord
+	for pos := lo; pos < hi; pos++ {
+		col = p.hColumn(col[:0], g, pos)
+		for _, e := range col {
+			if e.Row >= lo && e.Row < hi {
+				coords = append(coords, sparse.Coord{Row: e.Row - lo, Col: e.Col - lo, Val: e.Val})
+			}
+		}
+	}
+	return sparse.NewCSC(hi-lo, hi-lo, coords)
+}
+
+// schurComplement is the last product of line 6 of Algorithm 1:
+// S = H₂₂ − H₂₁·t₂ with t₂ = U₁⁻¹L₁⁻¹H₁₂, explicit zeros pruned.
+func schurComplement(h22, h21, t2 *sparse.CSR) *sparse.CSR {
+	return sparse.Sub(h22, sparse.Mul(h21, t2)).Prune()
 }
 
 // hubDegreeOrder returns a permutation (old position -> new position)
@@ -619,13 +611,21 @@ func factorSchur(s *sparse.CSR, denseCutoff int) (l2inv, u2inv *sparse.CSR, sper
 
 func weightedOutDegrees(g *graph.Graph) []float64 {
 	d := make([]float64, g.N())
-	for u := 0; u < g.N(); u++ {
-		_, w := g.Out(u)
-		for _, x := range w {
-			d[u] += x
-		}
+	for u := range d {
+		d[u] = outWeight(g, u)
 	}
 	return d
+}
+
+// outWeight returns the total weight of u's out-edges, summed in
+// destination order.
+func outWeight(g *graph.Graph, u int) float64 {
+	_, w := g.Out(u)
+	var total float64
+	for _, x := range w {
+		total += x
+	}
+	return total
 }
 
 // NNZ returns the total number of stored entries across the six

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bear/internal/graph"
@@ -139,5 +142,139 @@ func TestIsHubAndBlockOf(t *testing.T) {
 				t.Fatalf("edge %d-%d crosses blocks %d and %d", u, v, p.BlockOf(u), p.BlockOf(v))
 			}
 		}
+	}
+}
+
+// wholeLUInverse factors h11 as one matrix and inverts both factors: the
+// reference the block-factor stage must reproduce bit for bit.
+func wholeLUInverse(t *testing.T, h11 *sparse.CSC) (l1inv, u1inv *sparse.CSR) {
+	t.Helper()
+	f, err := sparse.LU(h11)
+	if err != nil {
+		t.Fatalf("whole-matrix LU: %v", err)
+	}
+	li, err := sparse.InverseLower(f.L, true)
+	if err != nil {
+		t.Fatalf("whole-matrix InverseLower: %v", err)
+	}
+	ui, err := sparse.InverseUpper(f.U)
+	if err != nil {
+		t.Fatalf("whole-matrix InverseUpper: %v", err)
+	}
+	return li.ToCSR(), ui.ToCSR()
+}
+
+// TestFactorBlocksMatchesWholeMatrixLU: the block-factor stage run over
+// every diagonal block equals whole-matrix sparse.LU plus the triangular
+// inverses bit for bit (Lemma 1), on multi-block and one-block H₁₁ alike.
+// The preprocessed fixtures cover the blocks the orderings produce (the
+// singleton's H₁₁ is one block); the hand-built matrices stack the system
+// matrices of small graphs into blocks of chosen sizes, or take one whole.
+func TestFactorBlocksMatchesWholeMatrixLU(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, h *sparse.CSC, off []int, n1 int) {
+		t.Helper()
+		wantL, wantU := wholeLUInverse(t, h.Submatrix(0, n1, 0, n1))
+		gotL, gotU, err := factorBlocks(ctx, h, off)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !csrBitsEqual(gotL, wantL) || !csrBitsEqual(gotU, wantU) {
+			t.Fatalf("%s: block factors differ from whole-matrix LU", name)
+		}
+	}
+	shapes := map[int]int{}
+	for name, g := range testGraphs(3) {
+		p, err := Preprocess(g, Options{K: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		hp := g.HMatrixCSC(p.C, false).Permute(p.Perm, p.Perm)
+		check(name, hp, p.BlockOffsets, p.N1)
+		wantL, wantU := wholeLUInverse(t, hp.Submatrix(0, p.N1, 0, p.N1))
+		if !csrBitsEqual(p.L1Inv, wantL) || !csrBitsEqual(p.U1Inv, wantU) {
+			t.Fatalf("%s: preprocessed L1Inv/U1Inv differ from whole-matrix LU", name)
+		}
+		shapes[min(len(p.Blocks), 2)]++
+	}
+	if shapes[1] == 0 || shapes[2] == 0 {
+		t.Fatalf("fixtures cover %v (block count → graphs), want one-block and multi-block H11", shapes)
+	}
+
+	var stacked []*sparse.CSR
+	off := []int{0}
+	for i, sz := range []int{7, 13, 1, 22, 5} {
+		stacked = append(stacked, gen.ErdosRenyi(sz, 3*sz, int64(i)).HMatrixCSC(0.15, false).ToCSR())
+		off = append(off, off[i]+sz)
+	}
+	check("five stacked blocks", sparse.BlockDiag(stacked).ToCSC(), off, off[5])
+	one := gen.RMAT(gen.NewRMATPul(120, 700, 0.7, 5)).HMatrixCSC(0.05, false)
+	check("one whole block", one, []int{0, 120}, 120)
+}
+
+// TestFactorBlocksSingularBlockNamed: a singular diagonal block fails the
+// block-factor stage with an error naming that block.
+func TestFactorBlocksSingularBlockNamed(t *testing.T) {
+	good := sparse.NewCSR(2, 2, []sparse.Coord{{Row: 0, Col: 0, Val: 2}, {Row: 1, Col: 1, Val: 2}})
+	bad := sparse.NewCSR(2, 2, []sparse.Coord{{Row: 0, Col: 0, Val: 1}}) // empty column: singular
+	h := sparse.BlockDiag([]*sparse.CSR{good, good, bad}).ToCSC()
+	_, _, err := factorBlocks(context.Background(), h, []int{0, 2, 4, 6})
+	if err == nil {
+		t.Fatal("a singular block factored without error")
+	}
+	if !strings.Contains(err.Error(), "block 2") {
+		t.Fatalf("error %q does not name block 2", err)
+	}
+}
+
+// cancelAfterPolls is a context whose Err reports context.Canceled from
+// its n-th call on: the cancellation lands between two polls of a
+// sequential pass, here between two diagonal blocks.
+type cancelAfterPolls struct {
+	context.Context
+	polls, n int
+}
+
+func (c *cancelAfterPolls) Err() error {
+	c.polls++
+	if c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelBetweenBlocks: a context cancelled after the first diagonal
+// block has been factored stops the pass before the next one, in
+// preprocessing and in the incremental rebuild alike, with an error that
+// matches errors.Is(err, ctx.Err()) and names the block it stopped at.
+func TestCancelBetweenBlocks(t *testing.T) {
+	g := gen.RMAT(gen.NewRMATPul(300, 1800, 0.7, 70))
+	// Preprocessing polls once after the ordering, then once per block:
+	// the third poll is the one before block 1.
+	ctx := &cancelAfterPolls{Context: context.Background(), n: 3}
+	_, err := PreprocessCtx(ctx, g, Options{K: 2})
+	if !errors.Is(err, ctx.Err()) {
+		t.Fatalf("PreprocessCtx error %v does not match the context's", err)
+	}
+	if !strings.Contains(err.Error(), "block 1") {
+		t.Fatalf("PreprocessCtx error %q does not name block 1", err)
+	}
+
+	d, err := NewDynamic(g, Options{K: 2})
+	if err != nil {
+		t.Fatalf("NewDynamic: %v", err)
+	}
+	applyEligibleChurn(t, rand.New(rand.NewSource(71)), d, 0.05)
+	oldP := d.Precomputed()
+	// The incremental pass polls once per dirty block: the second poll is
+	// the one before the second dirty block.
+	ctx = &cancelAfterPolls{Context: context.Background(), n: 2}
+	if _, err := d.RebuildCtx(ctx, RebuildIncremental); !errors.Is(err, ctx.Err()) {
+		t.Fatalf("incremental rebuild error %v does not match the context's", err)
+	} else if !strings.Contains(err.Error(), "aborted before block") {
+		t.Fatalf("incremental rebuild error %q does not name the block", err)
+	}
+	if d.Precomputed() != oldP {
+		t.Fatal("cancelled incremental rebuild swapped in new matrices")
 	}
 }

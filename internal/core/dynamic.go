@@ -110,8 +110,7 @@ func NewDynamicCtx(ctx context.Context, g *graph.Graph, opts Options) (*Dynamic,
 	// Schur-assembly cache that makes incremental rebuilds possible
 	// (preprocessCtx still skips it when the index shape disqualifies the
 	// incremental path, e.g. DropTol > 0).
-	opts.RetainRebuildCache = true
-	p, err := PreprocessCtx(ctx, g, opts)
+	p, err := preprocessCtx(ctx, g, opts, true)
 	if err != nil {
 		return nil, err
 	}

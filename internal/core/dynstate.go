@@ -27,10 +27,16 @@ var dynMagic2 = [8]byte{'B', 'E', 'A', 'R', 'D', 'Y', '0', '2'}
 // dynMagic3 identifies version 3 of the dynamic-state format: version 2
 // with the KeepH and with-H flags always explicit, followed by the name
 // of the ordering engine that produced the index, so a restored Dynamic
-// rebuilds with the same engine. States ordered by the default SlashBurn
-// are still written as version 1 or 2, byte-identical to before; versions
-// 1 and 2 restore as slashburn.
+// rebuilds with the same engine. States ordered by SlashBurn are still
+// written as version 1 or 2, byte-identical to before; versions 1 and 2
+// restore as slashburn.
 var dynMagic3 = [8]byte{'B', 'E', 'A', 'R', 'D', 'Y', '0', '3'}
+
+// namelessOrdering is the engine behind every version 1 and 2 state: both
+// formats predate pluggable orderings and carry no engine name. It is tied
+// to SlashBurn itself, not to ordering.Default, so changing the default
+// engine never reorders an old snapshot on its next rebuild.
+var namelessOrdering = ordering.SlashBurn{}.Name()
 
 // SaveState serializes the full dynamic-serving state: a restored Dynamic
 // answers every query bit-identically to this one, including the exact
@@ -48,9 +54,9 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 	d.mu.Unlock()
 
 	withH := opts.KeepH || p.H != nil
-	// Version 3 exists only to carry a non-default ordering name; indexes
-	// ordered by SlashBurn keep writing the older formats byte-identically.
-	v3 := ordering.Normalize(opts.Ordering) != ordering.Default
+	// Version 3 exists only to carry an ordering name; indexes ordered by
+	// SlashBurn keep writing the older formats byte-identically.
+	v3 := ordering.Normalize(opts.Ordering) != namelessOrdering
 	bw := bufio.NewWriter(w)
 	cw := &crcWriter{w: bw}
 	e := &encoder{w: cw}
@@ -66,8 +72,11 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 	e.f64(opts.DropTol)
 	e.f64(opts.HubRatio)
 	e.i64(int64(opts.K))
-	e.i64(int64(opts.DenseSchurCutoff))
-	e.i64(int64(opts.Workers))
+	// Two retired option slots (the dense-Schur cutoff and the worker
+	// count) stay in every version, written as 0, so the formats do not
+	// change.
+	e.i64(0)
+	e.i64(0)
 	e.bool(opts.Laplacian)
 	e.bool(opts.NoHubOrder)
 	if v3 {
@@ -120,16 +129,15 @@ func LoadDynamic(r io.Reader) (*Dynamic, error) {
 	opts.DropTol = d.f64()
 	opts.HubRatio = d.f64()
 	opts.K = int(d.i64())
-	opts.DenseSchurCutoff = int(d.i64())
-	opts.Workers = int(d.i64())
+	d.i64() // retired dense-Schur cutoff slot
+	d.i64() // retired worker-count slot
 	opts.Laplacian = d.bool()
 	opts.NoHubOrder = d.bool()
+	opts.Ordering = namelessOrdering
 	switch {
 	case v3:
 		opts.KeepH = d.bool()
 		withH = d.bool()
-		// Versions 1 and 2 predate pluggable orderings: their indexes were
-		// produced by SlashBurn and opts.Ordering stays "", which selects it.
 		opts.Ordering = d.str()
 		if d.err == nil {
 			if _, err := ordering.Get(opts.Ordering); err != nil {
@@ -203,12 +211,11 @@ func RestoreDynamic(base, cur *graph.Graph, p *Precomputed, dirty []int, opts Op
 			overlay[u] = nodeRow{dst: dst, w: w}
 		}
 	}
-	// Future rebuilds of the restored index should retain the
-	// Schur-assembly cache like a freshly constructed Dynamic would. The
-	// supplied Precomputed itself usually lacks the cache (it is derived
-	// state and never serialized), so the first auto rebuild falls back to
-	// full — recorded as no_cache — and repopulates it.
-	opts.RetainRebuildCache = true
+	// Full rebuilds of the restored index retain the Schur-assembly cache
+	// like a freshly constructed Dynamic's do. The supplied Precomputed
+	// itself usually lacks the cache (it is derived state and never
+	// serialized), so the first auto rebuild falls back to full — recorded
+	// as no_cache — and repopulates it.
 	return &Dynamic{n: base.N(), base: base, curCache: cur, overlay: overlay, p: p, opts: opts, dirty: dirty,
 		lastFullNNZ: p.NNZ()}, nil
 }

@@ -319,3 +319,103 @@ func TestIsolatedFlagFollowsFactors(t *testing.T) {
 		sameBits(t, fmt.Sprintf("Query(%d) after snapshot restore", v), b, before[v])
 	}
 }
+
+// checkIsolatedBits fails unless every block's isolated bit matches its
+// definition: no stored H₂₁ entry lies in the block's columns.
+func checkIsolatedBits(t *testing.T, what string, p *Precomputed) {
+	t.Helper()
+	for bi := range p.Blocks {
+		lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
+		want := true
+		for _, j := range p.H21.ColIdx {
+			if j >= lo && j < hi {
+				want = false
+				break
+			}
+		}
+		if got := p.blockIsolated(bi); got != want {
+			t.Fatalf("%s: block %d [%d,%d) isolated = %v, want %v", what, bi, lo, hi, got, want)
+		}
+	}
+}
+
+// TestIsolatedBitsMatchDefinition checks the isolated bits against their
+// definition on every fixture graph after Preprocess, after a Save/Load
+// round trip, and after incremental rebuilds that give a spoke its first
+// hub edge and take every hub edge away from another.
+func TestIsolatedBitsMatchDefinition(t *testing.T) {
+	for name, g := range testGraphs(5) {
+		t.Run(name, func(t *testing.T) {
+			p, err := Preprocess(g, Options{K: 2})
+			if err != nil {
+				t.Fatalf("Preprocess: %v", err)
+			}
+			checkIsolatedBits(t, "Preprocess", p)
+			var buf bytes.Buffer
+			if err := p.Save(&buf); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			loaded, err := Load(&buf)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			checkIsolatedBits(t, "Load", loaded)
+
+			d, err := NewDynamic(g, Options{K: 2})
+			if err != nil {
+				t.Fatalf("NewDynamic: %v", err)
+			}
+			p = d.Precomputed()
+			if p.N1 == 0 || p.N2 == 0 {
+				return // no spoke-to-hub edge to add or remove
+			}
+			hub := p.InvPerm[p.N1]
+			gained, lost := -1, -1
+			for pos := 0; pos < p.N1 && (gained < 0 || lost < 0); pos++ {
+				u := p.InvPerm[pos]
+				_, iso := p.isolatedBlock(pos)
+				switch {
+				case iso && gained < 0:
+					gained = u
+				case !iso && lost < 0 && len(hubDestinations(d.Graph(), p, u)) > 0:
+					lost = u
+				}
+			}
+			if gained >= 0 {
+				if err := d.AddEdge(gained, hub, 1); err != nil {
+					t.Fatalf("AddEdge: %v", err)
+				}
+			}
+			if lost >= 0 {
+				for _, v := range hubDestinations(d.Graph(), p, lost) {
+					if err := d.RemoveEdge(lost, v); err != nil {
+						t.Fatalf("RemoveEdge: %v", err)
+					}
+				}
+			}
+			if d.PendingNodes() == 0 {
+				return
+			}
+			rep, err := d.RebuildCtx(context.Background(), RebuildIncremental)
+			if err != nil {
+				t.Fatalf("incremental rebuild: %v", err)
+			}
+			if rep.Mode != RebuildIncremental {
+				t.Fatalf("rebuild ran %s, want incremental", rep.Mode)
+			}
+			checkIsolatedBits(t, "incremental rebuild", d.Precomputed())
+		})
+	}
+}
+
+// hubDestinations lists u's out-neighbors that are hubs.
+func hubDestinations(g *graph.Graph, p *Precomputed, u int) []int {
+	var hubs []int
+	dst, _ := g.Out(u)
+	for _, v := range dst {
+		if p.IsHub(v) {
+			hubs = append(hubs, v)
+		}
+	}
+	return hubs
+}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -105,12 +108,12 @@ func TestIncrementalRebuildAllOrderings(t *testing.T) {
 	}
 }
 
-// TestSnapshotOrderingRoundTrip: selecting a non-default engine switches
-// the snapshot to the v3 format, which must restore the ordering name
-// and answer queries bit-identically.
+// TestSnapshotOrderingRoundTrip: selecting an engine other than
+// SlashBurn switches the snapshot to the v3 format, which must restore the
+// ordering name and answer queries bit-identically.
 func TestSnapshotOrderingRoundTrip(t *testing.T) {
 	for _, eng := range ordering.Names() {
-		if eng == ordering.Default {
+		if eng == namelessOrdering {
 			continue
 		}
 		t.Run(eng, func(t *testing.T) {
@@ -152,10 +155,10 @@ func TestSnapshotOrderingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotDefaultOrderingKeepsOldFormat: default-ordering snapshots
+// TestSnapshotDefaultOrderingKeepsOldFormat: SlashBurn-ordered snapshots
 // must stay byte-compatible with the pre-ordering-engine formats so old
-// readers and committed fixtures keep working; old files restore with
-// the ordering unset (= SlashBurn).
+// readers and committed fixtures keep working; the name-less formats
+// restore as slashburn explicitly, whatever the default engine is.
 func TestSnapshotDefaultOrderingKeepsOldFormat(t *testing.T) {
 	d, err := NewDynamic(gen.ErdosRenyi(60, 300, 26), Options{K: 2})
 	if err != nil {
@@ -172,8 +175,8 @@ func TestSnapshotDefaultOrderingKeepsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadDynamic: %v", err)
 	}
-	if got := d2.Options().Ordering; got != "" {
-		t.Fatalf("default-format restore set Ordering = %q, want empty (SlashBurn)", got)
+	if got := d2.Options().Ordering; got != "slashburn" {
+		t.Fatalf("name-less format restored Ordering = %q, want slashburn", got)
 	}
 }
 
@@ -199,5 +202,67 @@ func TestSnapshotUnknownOrderingRefused(t *testing.T) {
 	}
 	if _, err := RestoreDynamic(d.base, d.base, d.Precomputed(), nil, Options{Ordering: "engine-from-the-future"}); err == nil {
 		t.Fatal("RestoreDynamic accepted an unknown ordering")
+	}
+}
+
+// TestSnapshotV2FixtureRestores restores a committed BEARDY02 snapshot —
+// written before the name-less formats were tied to SlashBurn and the
+// retired option slots were pinned to 0, with KeepH on and four pending
+// updates — and checks that it reports ordering slashburn, answers every
+// seed bit-identically to a fresh Dynamic over the same graph and
+// updates, and saves back to the same bytes, as does the fresh one.
+func TestSnapshotV2FixtureRestores(t *testing.T) {
+	raw, err := os.ReadFile("testdata/dynamic_v2_keeph_pending.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(raw[:8]); got != string(dynMagic2[:]) {
+		t.Fatalf("fixture magic %q, want %q", got, dynMagic2)
+	}
+	restored, err := LoadDynamic(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("LoadDynamic: %v", err)
+	}
+	if got := restored.Options().Ordering; got != "slashburn" {
+		t.Fatalf("restored Ordering = %q, want slashburn", got)
+	}
+
+	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 6, Size: 10, PIntra: 0.3, Hubs: 3, HubDeg: 8, Seed: 22})
+	fresh, err := NewDynamic(g, Options{K: 2, KeepH: true})
+	if err != nil {
+		t.Fatalf("NewDynamic: %v", err)
+	}
+	for _, err := range []error{
+		fresh.AddEdge(4, 60, 1.5),
+		fresh.RemoveEdge(10, 16),
+		fresh.UpdateNode(11, []int{10, 12, 30}, []float64{0.5, 2, 1}),
+		fresh.AddEdge(0, 5, 3),
+	} {
+		if err != nil {
+			t.Fatalf("update: %v", err)
+		}
+	}
+	if restored.PendingNodes() != 4 || fresh.PendingNodes() != 4 {
+		t.Fatalf("pending nodes: restored %d, fresh %d, want 4", restored.PendingNodes(), fresh.PendingNodes())
+	}
+	for seed := 0; seed < g.N(); seed++ {
+		a, err := restored.Query(seed)
+		if err != nil {
+			t.Fatalf("restored Query(%d): %v", seed, err)
+		}
+		b, err := fresh.Query(seed)
+		if err != nil {
+			t.Fatalf("fresh Query(%d): %v", seed, err)
+		}
+		sameBits(t, fmt.Sprintf("Query(%d), restored vs fresh", seed), a, b)
+	}
+	for name, d := range map[string]*Dynamic{"restored": restored, "fresh": fresh} {
+		var buf bytes.Buffer
+		if err := d.SaveState(&buf); err != nil {
+			t.Fatalf("%s SaveState: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("%s state saves to %d bytes that differ from the %d-byte fixture", name, buf.Len(), len(raw))
+		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"bear/internal/graph"
@@ -60,8 +58,9 @@ const (
 	// refreshes the ordering).
 	FallbackNoPending = "no_pending"
 	// FallbackNoCache: the Schur-assembly cache is absent — the index was
-	// loaded from disk (the cache is derived state and never serialized)
-	// or preprocessed without Options.RetainRebuildCache.
+	// loaded from disk or handed to RestoreDynamic by a static Preprocess
+	// (the cache is derived state: never serialized, and retained only by
+	// a Dynamic's own preprocessing passes).
 	FallbackNoCache = "no_cache"
 	// FallbackDropTol: BEAR-Approx indexes drop factor entries after the
 	// Schur assembly, so the retained intermediates no longer match the
@@ -136,7 +135,8 @@ type RebuildReport struct {
 }
 
 // rebuildCache holds the Schur-assembly intermediates retained for the
-// incremental path; see Options.RetainRebuildCache.
+// incremental path: a Dynamic's own preprocessing passes keep them (see
+// preprocessCtx); static Preprocess callers pay no extra memory.
 type rebuildCache struct {
 	t2  *sparse.CSR // U₁⁻¹L₁⁻¹H₁₂, n₁×n₂, final hub order
 	h22 *sparse.CSR // n₂×n₂, final hub order
@@ -257,9 +257,9 @@ func (d *Dynamic) RebuildCtx(ctx context.Context, mode RebuildMode) (RebuildRepo
 	var p *Precomputed
 	var err error
 	if plan != nil {
-		p, err = rebuildIncremental(ctx, snap, oldP, opts, plan, &rep)
+		p, err = rebuildIncremental(ctx, snap, oldP, plan, &rep)
 	} else {
-		p, err = PreprocessCtx(ctx, snap, opts)
+		p, err = preprocessCtx(ctx, snap, opts, true)
 		if err == nil {
 			rep.TimeOrdering = p.Stats.TimeOrdering
 			rep.TimeBlockLU = p.Stats.TimeLU1
@@ -375,67 +375,23 @@ func (d *Dynamic) incrementalPlanLocked() (*incrPlan, string) {
 // inputs: the snapshot graph, the old Precomputed, and the plan. It never
 // mutates old — concurrent queries keep reading it — and returns a new
 // Precomputed whose query results are bit-identical to a full
-// re-factorization of the snapshot under the reused ordering.
-func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed, opts Options, plan *incrPlan, rep *RebuildReport) (*Precomputed, error) {
-	opts = opts.withDefaults()
-	workers := opts.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 0 {
-		workers = 1
-	}
-
+// re-factorization of the snapshot under the reused ordering. Every stage
+// is the full pass's own (factorBlock, hColumn, schurComplement,
+// factorSchur, finish), run over the dirty blocks only.
+func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed, plan *incrPlan, rep *RebuildReport) (*Precomputed, error) {
 	// Stage 1 (Algorithm 1 line 5, dirty blocks only): rebuild each dirty
-	// diagonal block of H₁₁ from the snapshot rows and re-factor it with
-	// the same per-block LU + triangular inversion the full pass uses.
+	// diagonal block of H₁₁ from the snapshot rows and re-factor it.
 	tlu := time.Now()
-	type blockFactors struct {
-		li, ui *sparse.CSR
-		err    error
-	}
-	factors := make([]blockFactors, len(plan.blocks))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	lSplices := make([]sparse.RowSplice, len(plan.blocks))
+	uSplices := make([]sparse.RowSplice, len(plan.blocks))
 	for i, b := range plan.blocks {
-		wg.Add(1)
-		go func(i, b int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				factors[i].err = err
-				return
-			}
-			lo, hi := old.BlockOffsets[b], old.BlockOffsets[b+1]
-			blk := buildH11Block(snap, old, lo, hi)
-			f, err := sparse.LU(blk)
-			if err != nil {
-				factors[i].err = fmt.Errorf("block %d: %w", b, err)
-				return
-			}
-			li, err := sparse.InverseLower(f.L, true)
-			if err != nil {
-				factors[i].err = fmt.Errorf("block %d: %w", b, err)
-				return
-			}
-			ui, err := sparse.InverseUpper(f.U)
-			if err != nil {
-				factors[i].err = fmt.Errorf("block %d: %w", b, err)
-				return
-			}
-			factors[i].li = li.ToCSR()
-			factors[i].ui = ui.ToCSR()
-		}(i, b)
-	}
-	wg.Wait()
-	for _, f := range factors {
-		if f.err != nil {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("core: incremental rebuild aborted during block LU: %w", f.err)
-			}
-			return nil, fmt.Errorf("core: incremental rebuild re-factoring H11: %w", f.err)
+		lo, hi := old.BlockOffsets[b], old.BlockOffsets[b+1]
+		li, ui, err := factorBlock(ctx, b, old.h11Block(snap, lo, hi))
+		if err != nil {
+			return nil, fmt.Errorf("core: incremental rebuild: %w", err)
 		}
+		lSplices[i] = sparse.RowSplice{Lo: lo, ColOffset: lo, Block: li}
+		uSplices[i] = sparse.RowSplice{Lo: lo, ColOffset: lo, Block: ui}
 	}
 	rep.TimeBlockLU = time.Since(tlu)
 	rep.BlocksRefactored = len(plan.blocks)
@@ -449,46 +405,16 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 	// columns of H). The retained exact H, when present, gets the same
 	// column replacement so Residual and refinement stay truthful.
 	tsplice := time.Now()
-	lSplices := make([]sparse.RowSplice, len(plan.blocks))
-	uSplices := make([]sparse.RowSplice, len(plan.blocks))
-	for i, b := range plan.blocks {
-		lo := old.BlockOffsets[b]
-		lSplices[i] = sparse.RowSplice{Lo: lo, ColOffset: lo, Block: factors[i].li}
-		uSplices[i] = sparse.RowSplice{Lo: lo, ColOffset: lo, Block: factors[i].ui}
-	}
 	l1inv := old.L1Inv.SpliceRows(lSplices)
 	u1inv := old.U1Inv.SpliceRows(uSplices)
-
-	var h21coords, hcoords []sparse.Coord
+	var hcoords, h21coords []sparse.Coord
 	for _, pos := range plan.dirtyPos {
-		u := old.InvPerm[pos]
-		dst, w := snap.Out(u)
-		var total float64
-		for _, x := range w {
-			total += x
-		}
-		diag := 1.0
-		for k, v := range dst {
-			// Reproduce HMatrixCSC's arithmetic exactly, including the
-			// explicit -0 entries of zero-weight rows (they are structural
-			// nonzeros to the LU): normalize, then scale by -(1-c).
-			var wn float64
-			if total > 0 {
-				wn = w[k] / total
+		start := len(hcoords)
+		hcoords = old.hColumn(hcoords, snap, pos)
+		for _, e := range hcoords[start:] {
+			if e.Row >= old.N1 {
+				h21coords = append(h21coords, sparse.Coord{Row: e.Row - old.N1, Col: pos, Val: e.Val})
 			}
-			val := wn * -(1 - old.C)
-			pv := old.Perm[v]
-			if pv == pos {
-				diag += val
-			} else if old.H != nil {
-				hcoords = append(hcoords, sparse.Coord{Row: pv, Col: pos, Val: val})
-			}
-			if pv >= old.N1 && pv != pos {
-				h21coords = append(h21coords, sparse.Coord{Row: pv - old.N1, Col: pos, Val: val})
-			}
-		}
-		if old.H != nil {
-			hcoords = append(hcoords, sparse.Coord{Row: pos, Col: pos, Val: diag})
 		}
 	}
 	h21 := old.H21.ReplaceColumns(plan.dirtyPos, h21coords)
@@ -508,22 +434,14 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 	// retained cache, and re-assemble S = H₂₂ − H₂₁·t2. H₂₂ and H₁₂ carry
 	// no spoke columns, so they are untouched by spoke-only churn.
 	tassembly := time.Now()
-	t2 := old.incr.t2
-	var s *sparse.CSR
-	if old.N2 > 0 {
-		t2Splices := make([]sparse.RowSplice, len(plan.blocks))
-		for i, b := range plan.blocks {
-			lo, hi := old.BlockOffsets[b], old.BlockOffsets[b+1]
-			h12b := old.H12.Submatrix(lo, hi, 0, old.N2)
-			t2b := sparse.Mul(factors[i].ui, sparse.Mul(factors[i].li, h12b))
-			t2Splices[i] = sparse.RowSplice{Lo: lo, ColOffset: 0, Block: t2b}
-		}
-		t2 = t2.SpliceRows(t2Splices)
-		t3 := sparse.ParallelMul(h21, t2, workers)
-		s = sparse.Sub(old.incr.h22, t3).Prune()
-	} else {
-		s = sparse.NewCSR(0, 0, nil)
+	t2Splices := make([]sparse.RowSplice, len(plan.blocks))
+	for i, sp := range lSplices {
+		h12b := old.H12.Submatrix(sp.Lo, sp.Lo+sp.Block.R, 0, old.N2)
+		t2b := sparse.Mul(uSplices[i].Block, sparse.Mul(sp.Block, h12b))
+		t2Splices[i] = sparse.RowSplice{Lo: sp.Lo, ColOffset: 0, Block: t2b}
 	}
+	t2 := old.incr.t2.SpliceRows(t2Splices)
+	s := schurComplement(old.incr.h22, h21, t2)
 	rep.TimeSchurAssembly = time.Since(tassembly)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: incremental rebuild aborted after Schur assembly: %w", err)
@@ -532,10 +450,10 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 	// Stage 4 (line 8): re-factor S under the existing hub order. S is the
 	// small dense heart of the index; a full re-factor here is still
 	// O(churn)-dominated for the overall rebuild because every O(graph)
-	// stage (the ordering, whole-matrix LU, full Schur products over n₁)
+	// stage (the ordering, every block's LU, full Schur products over n₁)
 	// is gone.
 	tfactor := time.Now()
-	l2inv, u2inv, sperm, err := factorSchur(s, opts.DenseSchurCutoff)
+	l2inv, u2inv, sperm, err := factorSchur(s, denseSchurCutoff)
 	if err != nil {
 		return nil, fmt.Errorf("core: incremental rebuild factoring Schur complement: %w", err)
 	}
@@ -547,12 +465,7 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 	outDeg := append([]float64(nil), old.OutDegree...)
 	for _, pos := range plan.dirtyPos {
 		u := old.InvPerm[pos]
-		_, w := snap.Out(u)
-		var total float64
-		for _, x := range w {
-			total += x
-		}
-		outDeg[u] = total
+		outDeg[u] = outWeight(snap, u)
 	}
 	p2 := &Precomputed{
 		N: old.N, N1: old.N1, N2: old.N2, C: old.C,
@@ -570,6 +483,8 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 		OutDegree: outDeg,
 		incr:      &rebuildCache{t2: t2, h22: old.incr.h22},
 	}
+	p2.kern.h12 = old.kern.h12
+	p2.finish()
 	p2.Stats = old.Stats
 	p2.Stats.M = snap.M()
 	p2.Stats.NNZH12H21 = old.H12.NNZ() + h21.NNZ()
@@ -578,46 +493,5 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 	if hFull != nil {
 		p2.Stats.NNZH = hFull.NNZ()
 	}
-	p2.initDerived()
-	if err := p2.initKernels(opts.Kernel); err != nil {
-		return nil, err
-	}
 	return p2, nil
-}
-
-// buildH11Block reconstructs diagonal block [lo,hi) of the permuted H₁₁
-// from the snapshot graph in CSC form, bit-identical to extracting it
-// from snap.HMatrixCSC(c, false).Permute(perm, perm): column Perm[u] of H
-// is e_u − (1−c)·(row u of Ã)ᵀ, and for an eligible block every spoke
-// destination of every row lands inside the block (hub rows belong to
-// H₂₁ and are handled by the column replacement).
-func buildH11Block(snap *graph.Graph, p *Precomputed, lo, hi int) *sparse.CSC {
-	nb := hi - lo
-	var coords []sparse.Coord
-	for pos := lo; pos < hi; pos++ {
-		u := p.InvPerm[pos]
-		dst, w := snap.Out(u)
-		var total float64
-		for _, x := range w {
-			total += x
-		}
-		diag := 1.0
-		for k, v := range dst {
-			var wn float64
-			if total > 0 {
-				wn = w[k] / total
-			}
-			val := wn * -(1 - p.C)
-			pv := p.Perm[v]
-			if pv == pos {
-				diag += val
-				continue
-			}
-			if pv >= lo && pv < hi {
-				coords = append(coords, sparse.Coord{Row: pv - lo, Col: pos - lo, Val: val})
-			}
-		}
-		coords = append(coords, sparse.Coord{Row: pos - lo, Col: pos - lo, Val: diag})
-	}
-	return sparse.NewCSC(nb, nb, coords)
 }

@@ -36,15 +36,17 @@ func csrBitsEqual(a, b *sparse.CSR) bool {
 }
 
 // pinnedFullPrecomputed re-runs the whole factorization of snap under
-// old's retained ordering and partition — every block re-factored, the
-// Schur complement assembled and factored from scratch, no fresh
-// SlashBurn and no hub re-reorder (both are already folded into
+// old's retained ordering and partition — H₁₁ factored and inverted as one
+// matrix, the Schur complement assembled and factored from scratch, no
+// fresh SlashBurn and no hub re-reorder (both are already folded into
 // old.Perm). This is the oracle the incremental rebuild must match
-// bit-for-bit: it performs the same arithmetic in the same association
-// order, just without skipping the clean blocks.
-func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, opts Options) *Precomputed {
+// bit-for-bit. It is written with whole-matrix sparse.LU and sparse.Mul,
+// not the preprocessing stages, so it stays independent of the code it
+// checks: Lemma 1 makes the whole-matrix factors equal the per-block ones.
+// The options argument is unused: an index that rebuilds incrementally is
+// exact and row-normalized, and old carries c.
+func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, _ Options) *Precomputed {
 	t.Helper()
-	opts = opts.withDefaults()
 	n, n1 := old.N, old.N1
 	h := snap.HMatrixCSC(old.C, false)
 	hp := h.Permute(old.Perm, old.Perm)
@@ -53,40 +55,10 @@ func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, op
 	h21 := hp.Submatrix(n1, n, 0, n1).ToCSR()
 	h22 := hp.Submatrix(n1, n, n1, n).ToCSR()
 
-	var l1inv, u1inv *sparse.CSR
-	if len(old.Blocks) > 1 {
-		li, ui, err := sparse.BlockDiagLUInverse(h11, old.Blocks, 1)
-		if err != nil {
-			t.Fatalf("pinned full rebuild: block LU: %v", err)
-		}
-		l1inv, u1inv = li, ui
-	} else {
-		f1, err := sparse.LU(h11)
-		if err != nil {
-			t.Fatalf("pinned full rebuild: LU of H11: %v", err)
-		}
-		li, err := sparse.InverseLower(f1.L, true)
-		if err != nil {
-			t.Fatalf("pinned full rebuild: inverting L1: %v", err)
-		}
-		ui, err := sparse.InverseUpper(f1.U)
-		if err != nil {
-			t.Fatalf("pinned full rebuild: inverting U1: %v", err)
-		}
-		l1inv, u1inv = li.ToCSR(), ui.ToCSR()
-	}
-
-	var s, t2 *sparse.CSR
-	if old.N2 > 0 {
-		t1 := sparse.ParallelMul(l1inv, h12, 1)
-		t2 = sparse.ParallelMul(u1inv, t1, 1)
-		t3 := sparse.ParallelMul(h21, t2, 1)
-		s = sparse.Sub(h22, t3).Prune()
-	} else {
-		t2 = sparse.NewCSR(n1, 0, nil)
-		s = sparse.NewCSR(0, 0, nil)
-	}
-	l2inv, u2inv, sperm, err := factorSchur(s, opts.DenseSchurCutoff)
+	l1inv, u1inv := wholeLUInverse(t, h11)
+	t2 := sparse.Mul(u1inv, sparse.Mul(l1inv, h12))
+	s := sparse.Sub(h22, sparse.Mul(h21, t2)).Prune()
+	l2inv, u2inv, sperm, err := factorSchur(s, denseSchurCutoff)
 	if err != nil {
 		t.Fatalf("pinned full rebuild: factoring Schur complement: %v", err)
 	}
@@ -106,10 +78,7 @@ func pinnedFullPrecomputed(t *testing.T, snap *graph.Graph, old *Precomputed, op
 		OutDegree: weightedOutDegrees(snap),
 		incr:      &rebuildCache{t2: t2, h22: h22},
 	}
-	p2.initDerived()
-	if err := p2.initKernels(opts.Kernel); err != nil {
-		t.Fatalf("pinned full rebuild: %v", err)
-	}
+	p2.finish()
 	return p2
 }
 

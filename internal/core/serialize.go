@@ -113,12 +113,7 @@ func decodePayload(d *decoder, withH bool) (*Precomputed, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	p.initDerived()
-	// Loaded factors get the auto layout heuristic; the precompute format
-	// stores no kernel preference (layouts are a runtime choice).
-	if err := p.initKernels(""); err != nil {
-		return nil, err
-	}
+	p.finish()
 	return p, nil
 }
 

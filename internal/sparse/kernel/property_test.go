@@ -309,28 +309,6 @@ func TestStatsCountOnePerCall(t *testing.T) {
 	}
 }
 
-func TestParseConfig(t *testing.T) {
-	for spec, want := range map[string]kernel.Config{
-		"":     {},
-		"auto": {},
-		"csr":  {Layout: kernel.ForceCSR},
-		"sell": {Layout: kernel.ForceSELL},
-	} {
-		got, err := kernel.ParseConfig(spec)
-		if err != nil {
-			t.Fatalf("ParseConfig(%q): %v", spec, err)
-		}
-		if got != want {
-			t.Fatalf("ParseConfig(%q) = %+v, want %+v", spec, got, want)
-		}
-	}
-	for _, spec := range []string{"blocked-nonsense", "hybrid", "parallel"} {
-		if _, err := kernel.ParseConfig(spec); err == nil {
-			t.Fatalf("ParseConfig accepted the unknown spec %q", spec)
-		}
-	}
-}
-
 // TestAutoSelection pins the heuristic: near-diagonal matrices (mean ≤ 2
 // entries per row, where SELL measures ~1.5× over CSR) pick SELL, denser
 // ones stay on CSR, and small matrices never pay layout construction.
@@ -345,19 +323,16 @@ func TestAutoSelection(t *testing.T) {
 		}
 		return blocks
 	}(), 1)
-	if got := kernel.New(nearDiag, kernel.Config{}).Layout(); got != "sell" {
+	if got := kernel.New(nearDiag).Layout(); got != "sell" {
 		t.Fatalf("near-diagonal auto layout = %s, want sell", got)
 	}
 	// Dense blocks: ~40 entries per row — CSR stays.
 	spoke := blockDiagCSR(rng, []int{40, 40, 40}, 1)
-	if got := kernel.New(spoke, kernel.Config{}).Layout(); got != "csr" {
+	if got := kernel.New(spoke).Layout(); got != "csr" {
 		t.Fatalf("dense-block auto layout = %s, want csr", got)
 	}
 	tiny := sparse.Identity(40)
-	if got := kernel.New(tiny, kernel.Config{}).Layout(); got != "csr" {
+	if got := kernel.New(tiny).Layout(); got != "csr" {
 		t.Fatalf("tiny auto layout = %s, want csr", got)
-	}
-	if got := kernel.New(spoke, kernel.Config{Layout: kernel.ForceSELL}).Layout(); got != "sell" {
-		t.Fatalf("forced layout = %s, want sell", got)
 	}
 }

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"math"
-	"sort"
 
 	"bear/internal/sparse"
 )
@@ -51,13 +50,17 @@ func NewSELL(m *sparse.CSR) *SELL {
 		if hi > m.R {
 			hi = m.R
 		}
+		// Longest row first; rows of equal length keep their order. An
+		// insertion sort over at most sellC rows.
 		order := k.rowOrder[lo:hi]
 		for i := range order {
-			order[i] = int32(lo + i)
+			row := int32(lo + i)
+			j := i
+			for ; j > 0 && rowLen(order[j-1]) < rowLen(row); j-- {
+				order[j] = order[j-1]
+			}
+			order[j] = row
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return rowLen(order[a]) > rowLen(order[b])
-		})
 		width := 0
 		if len(order) > 0 {
 			width = rowLen(order[0])

@@ -84,14 +84,12 @@ func (m *CSR) SpliceRows(splices []RowSplice) *CSR {
 // their stored entries bit-for-bit; within a row the result stays sorted
 // by column. The receiver is not modified.
 func (m *CSR) ReplaceColumns(cols []int, repl []Coord) *CSR {
-	inSet := func(j int) bool {
-		k := sort.SearchInts(cols, j)
-		return k < len(cols) && cols[k] == j
-	}
-	for i := 1; i < len(cols); i++ {
-		if cols[i-1] >= cols[i] {
+	replaced := make([]bool, m.C)
+	for i, j := range cols {
+		if i > 0 && cols[i-1] >= j {
 			panic(fmt.Sprintf("sparse: ReplaceColumns columns not sorted and unique at index %d", i))
 		}
+		replaced[j] = true
 	}
 	// Bucket the replacement entries by row, sorted by column within each.
 	byRow := make(map[int][]Coord, len(repl))
@@ -99,7 +97,7 @@ func (m *CSR) ReplaceColumns(cols []int, repl []Coord) *CSR {
 		if c.Row < 0 || c.Row >= m.R || c.Col < 0 || c.Col >= m.C {
 			panic(fmt.Sprintf("sparse: ReplaceColumns entry (%d,%d) outside %dx%d", c.Row, c.Col, m.R, m.C))
 		}
-		if !inSet(c.Col) {
+		if !replaced[c.Col] {
 			panic(fmt.Sprintf("sparse: ReplaceColumns entry in column %d, which is not being replaced", c.Col))
 		}
 		byRow[c.Row] = append(byRow[c.Row], c)
@@ -123,7 +121,7 @@ func (m *CSR) ReplaceColumns(cols []int, repl []Coord) *CSR {
 				out.Val = append(out.Val, news[ni].Val)
 				ni++
 			}
-			if inSet(j) {
+			if replaced[j] {
 				continue // old contents of a replaced column
 			}
 			out.ColIdx = append(out.ColIdx, j)

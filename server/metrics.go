@@ -117,7 +117,7 @@ func (s *Server) metrics() *serverMetrics {
 			layout := layout
 			l := obsv.L("layout", layout)
 			reg.CounterFunc("bear_kernel_selected_total",
-				"Kernel matrices constructed, by storage layout. Shows what the auto heuristic or the -kernel override picked.",
+				"Kernel matrices constructed, by storage layout. Shows what the per-matrix layout rule picked.",
 				func() uint64 { sel, _, _ := kernel.Stats(layout); return sel }, l)
 			reg.CounterFunc("bear_kernel_spmv_total",
 				"Kernel SpMV-family calls (full, row-ranged and column-ranged), by layout.",

@@ -268,7 +268,7 @@ func TestSnapshotRestoreKeepsGraphSeries(t *testing.T) {
 // TestOrderingSelectionAndMetrics: the PUT ?ordering= override must be
 // reflected in the graph info and in the bear_ordering_selected gauge
 // family — exactly one engine at 1 per graph; an unknown name is a 400,
-// as are the removed nd engine and hybrid and parallel kernel layouts.
+// as is the removed nd engine.
 func TestOrderingSelectionAndMetrics(t *testing.T) {
 	s := New()
 	s.DefaultOrdering = "" // slashburn
@@ -278,8 +278,6 @@ func TestOrderingSelectionAndMetrics(t *testing.T) {
 	doJSON(t, "PUT", base+"/def", edgeListBody(), http.StatusCreated)
 	doJSON(t, "PUT", base+"/bad?ordering=no-such-engine", edgeListBody(), http.StatusBadRequest)
 	doJSON(t, "PUT", base+"/bad?ordering=nd", edgeListBody(), http.StatusBadRequest)
-	doJSON(t, "PUT", base+"/bad?kernel=hybrid", edgeListBody(), http.StatusBadRequest)
-	doJSON(t, "PUT", base+"/bad?kernel=parallel", edgeListBody(), http.StatusBadRequest)
 
 	info := doJSON(t, "GET", base+"/md", "", http.StatusOK)
 	if got := info["ordering"]; got != "mindeg" {

@@ -103,13 +103,6 @@ type Server struct {
 	// traces still work.
 	TraceSlow time.Duration
 
-	// DefaultKernel is the query-kernel layout spec applied to graphs
-	// registered over the API without an explicit ?kernel= choice: "" or
-	// "auto" (SELL-C-σ for matrices of at least 256 rows with at most 2
-	// stored entries per row, CSR otherwise), "csr", "sell".
-	// Set from the bearserve -kernel flag; see internal/sparse/kernel.
-	DefaultKernel string
-
 	// DefaultOrdering is the reordering engine applied to graphs
 	// registered over the API without an explicit ?ordering= choice: ""
 	// or "slashburn" (the paper's), "mindeg". Set from the bearserve
@@ -462,12 +455,6 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		opts.Laplacian = lap
-	}
-	opts.Kernel = s.DefaultKernel
-	if v := q.Get("kernel"); v != "" {
-		// Validity is checked by Preprocess before any work happens, so an
-		// unknown layout comes back as a clean 400 below.
-		opts.Kernel = v
 	}
 	opts.Ordering = s.DefaultOrdering
 	if v := q.Get("ordering"); v != "" {

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"time"
 
 	"bear/internal/core"
@@ -154,40 +151,13 @@ func RunKernels(cfg Config) ([]*Table, error) {
 // -baseline FILE): any layout whose measured speedup falls below 80% of
 // its committed speedup fails the gate.
 func CheckKernels(cfg Config, baselinePath string) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench: reading kernel baselines: %w", err)
-	}
-	var file struct {
-		Baselines []KernelBaseline `json:"baselines"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return fmt.Errorf("bench: parsing kernel baselines %s: %w", baselinePath, err)
-	}
-	if len(file.Baselines) == 0 {
-		return fmt.Errorf("bench: no baselines in %s", baselinePath)
-	}
-	results, err := measureKernelSweep(cfg)
-	if err != nil {
-		return err
-	}
-	measured := make(map[string]KernelResult, len(results))
-	for _, r := range results {
-		measured[r.Dataset+"/"+r.Matrix+"/"+r.Layout] = r
-	}
-	var failures []error
-	for _, b := range file.Baselines {
-		key := b.Dataset + "/" + b.Matrix + "/" + b.Layout
-		r, ok := measured[key]
-		if !ok {
-			failures = append(failures, fmt.Errorf("%s: baseline present but not measured", key))
-			continue
-		}
-		if floor := 0.8 * b.Speedup; r.Speedup < floor {
-			failures = append(failures,
-				fmt.Errorf("%s: speedup %.2fx below floor %.2fx (80%% of committed %.2fx)",
-					key, r.Speedup, floor, b.Speedup))
-		}
-	}
-	return errors.Join(failures...)
+	return gate[KernelBaseline, KernelResult]{
+		sweep:     "kernel",
+		key:       func(b KernelBaseline) string { return b.Dataset + "/" + b.Matrix + "/" + b.Layout },
+		resultKey: func(r KernelResult) string { return r.Dataset + "/" + r.Matrix + "/" + r.Layout },
+		measure:   func(map[string]bool) ([]KernelResult, error) { return measureKernelSweep(cfg) },
+		check: func(key string, b KernelBaseline, r KernelResult) error {
+			return floor(key, "speedup", r.Speedup, b.Speedup)
+		},
+	}.run(baselinePath)
 }

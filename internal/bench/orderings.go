@@ -2,12 +2,10 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"time"
 
 	"bear/internal/core"
@@ -192,45 +190,15 @@ func RunOrderings(cfg Config) ([]*Table, error) {
 // committed numbers must be regenerated deliberately. Query speedups
 // get the kernel gate's 20% timing slack.
 func CheckOrderings(cfg Config, baselinePath string) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench: reading ordering baselines: %w", err)
-	}
-	var file struct {
-		Baselines []OrderingBaseline `json:"baselines"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return fmt.Errorf("bench: parsing ordering baselines %s: %w", baselinePath, err)
-	}
-	if len(file.Baselines) == 0 {
-		return fmt.Errorf("bench: no baselines in %s", baselinePath)
-	}
-	results, err := measureOrderingSweep(cfg)
-	if err != nil {
-		return err
-	}
-	measured := make(map[string]OrderingResult, len(results))
-	for _, r := range results {
-		measured[r.Dataset+"/"+r.Ordering] = r
-	}
-	var failures []error
-	for _, b := range file.Baselines {
-		key := b.Dataset + "/" + b.Ordering
-		r, ok := measured[key]
-		if !ok {
-			failures = append(failures, fmt.Errorf("%s: baseline present but not measured", key))
-			continue
-		}
-		if ceil := 1.25 * b.FillVsSlashburn; r.FillVsSlashburn > ceil {
-			failures = append(failures,
-				fmt.Errorf("%s: fill ratio %.3fx above ceiling %.3fx (125%% of committed %.3fx)",
-					key, r.FillVsSlashburn, ceil, b.FillVsSlashburn))
-		}
-		if floor := 0.8 * b.QuerySpeedupVsSlashburn; r.QuerySpeedupVsSlashburn < floor {
-			failures = append(failures,
-				fmt.Errorf("%s: query speedup %.2fx below floor %.2fx (80%% of committed %.2fx)",
-					key, r.QuerySpeedupVsSlashburn, floor, b.QuerySpeedupVsSlashburn))
-		}
-	}
-	return errors.Join(failures...)
+	return gate[OrderingBaseline, OrderingResult]{
+		sweep:     "ordering",
+		key:       func(b OrderingBaseline) string { return b.Dataset + "/" + b.Ordering },
+		resultKey: func(r OrderingResult) string { return r.Dataset + "/" + r.Ordering },
+		measure:   func(map[string]bool) ([]OrderingResult, error) { return measureOrderingSweep(cfg) },
+		check: func(key string, b OrderingBaseline, r OrderingResult) error {
+			return errors.Join(
+				ceiling(key, "fill ratio", r.FillVsSlashburn, b.FillVsSlashburn),
+				floor(key, "query speedup", r.QuerySpeedupVsSlashburn, b.QuerySpeedupVsSlashburn))
+		},
+	}.run(baselinePath)
 }

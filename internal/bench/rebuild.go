@@ -2,12 +2,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"time"
 
 	"bear/internal/core"
@@ -229,46 +226,22 @@ func RunRebuild(cfg Config) ([]*Table, error) {
 // below 80% of its committed speedup fails the gate. Only the committed
 // cells are re-measured, so the gate skips the expensive high-churn tail.
 func CheckRebuild(cfg Config, baselinePath string) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench: reading rebuild baselines: %w", err)
-	}
-	var file struct {
-		Baselines []RebuildBaseline `json:"baselines"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return fmt.Errorf("bench: parsing rebuild baselines %s: %w", baselinePath, err)
-	}
-	if len(file.Baselines) == 0 {
-		return fmt.Errorf("bench: no baselines in %s", baselinePath)
-	}
-	want := make(map[string]RebuildBaseline, len(file.Baselines))
-	for _, b := range file.Baselines {
-		want[fmt.Sprintf("%s/%g", b.Dataset, b.Churn)] = b
-	}
-	results, err := measureRebuildSweep(cfg, func(dataset string, churn float64) bool {
-		_, ok := want[fmt.Sprintf("%s/%g", dataset, churn)]
-		return ok
-	})
-	if err != nil {
-		return err
-	}
-	measured := make(map[string]RebuildResult, len(results))
-	for _, r := range results {
-		measured[fmt.Sprintf("%s/%g", r.Dataset, r.Churn)] = r
-	}
-	var failures []error
-	for key, b := range want {
-		r, ok := measured[key]
-		if !ok {
-			failures = append(failures, fmt.Errorf("%s: baseline present but not measured", key))
-			continue
-		}
-		if floor := 0.8 * b.Speedup; r.Speedup < floor {
-			failures = append(failures,
-				fmt.Errorf("%s: speedup %.2fx below floor %.2fx (80%% of committed %.2fx)",
-					key, r.Speedup, floor, b.Speedup))
-		}
-	}
-	return errors.Join(failures...)
+	return gate[RebuildBaseline, RebuildResult]{
+		sweep:     "rebuild",
+		key:       func(b RebuildBaseline) string { return rebuildCell(b.Dataset, b.Churn) },
+		resultKey: func(r RebuildResult) string { return rebuildCell(r.Dataset, r.Churn) },
+		measure: func(committed map[string]bool) ([]RebuildResult, error) {
+			return measureRebuildSweep(cfg, func(dataset string, churn float64) bool {
+				return committed[rebuildCell(dataset, churn)]
+			})
+		},
+		check: func(key string, b RebuildBaseline, r RebuildResult) error {
+			return floor(key, "speedup", r.Speedup, b.Speedup)
+		},
+	}.run(baselinePath)
+}
+
+// rebuildCell is the gate key of one (dataset, churn) cell.
+func rebuildCell(dataset string, churn float64) string {
+	return fmt.Sprintf("%s/%g", dataset, churn)
 }

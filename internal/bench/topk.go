@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"time"
 
 	"bear/internal/core"
@@ -138,40 +135,13 @@ func RunTopK(cfg Config) ([]*Table, error) {
 // FILE): any (dataset, k) cell whose measured speedup falls below 80% of
 // its committed speedup fails the gate.
 func CheckTopK(cfg Config, baselinePath string) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("bench: reading topk baselines: %w", err)
-	}
-	var file struct {
-		Baselines []TopKBaseline `json:"baselines"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		return fmt.Errorf("bench: parsing topk baselines %s: %w", baselinePath, err)
-	}
-	if len(file.Baselines) == 0 {
-		return fmt.Errorf("bench: no baselines in %s", baselinePath)
-	}
-	results, err := measureTopKSweep(cfg)
-	if err != nil {
-		return err
-	}
-	measured := make(map[string]TopKResult, len(results))
-	for _, r := range results {
-		measured[fmt.Sprintf("%s/k=%d", r.Dataset, r.K)] = r
-	}
-	var failures []error
-	for _, b := range file.Baselines {
-		key := fmt.Sprintf("%s/k=%d", b.Dataset, b.K)
-		r, ok := measured[key]
-		if !ok {
-			failures = append(failures, fmt.Errorf("%s: baseline present but not measured", key))
-			continue
-		}
-		if floor := 0.8 * b.Speedup; r.Speedup < floor {
-			failures = append(failures,
-				fmt.Errorf("%s: speedup %.2fx below floor %.2fx (80%% of committed %.2fx)",
-					key, r.Speedup, floor, b.Speedup))
-		}
-	}
-	return errors.Join(failures...)
+	return gate[TopKBaseline, TopKResult]{
+		sweep:     "topk",
+		key:       func(b TopKBaseline) string { return fmt.Sprintf("%s/k=%d", b.Dataset, b.K) },
+		resultKey: func(r TopKResult) string { return fmt.Sprintf("%s/k=%d", r.Dataset, r.K) },
+		measure:   func(map[string]bool) ([]TopKResult, error) { return measureTopKSweep(cfg) },
+		check: func(key string, b TopKBaseline, r TopKResult) error {
+			return floor(key, "speedup", r.Speedup, b.Speedup)
+		},
+	}.run(baselinePath)
 }

@@ -250,14 +250,14 @@ func (d *Dynamic) RebuildCtx(ctx context.Context, mode RebuildMode) (RebuildRepo
 	d.rebuilding = true
 	d.sinceSnap = nil
 	snap := d.materializeLocked() // immutable; updates swap in a fresh cache
-	oldP, opts := d.p, d.opts
+	base, oldP, opts := d.base, d.p, d.opts
 	d.mu.Unlock()
 
 	start := time.Now()
 	var p *Precomputed
 	var err error
 	if plan != nil {
-		p, err = rebuildIncremental(ctx, snap, oldP, plan, &rep)
+		p, err = rebuildIncremental(ctx, base, snap, oldP, plan, &rep)
 	} else {
 		p, err = preprocessCtx(ctx, snap, opts, true)
 		if err == nil {
@@ -372,13 +372,14 @@ func (d *Dynamic) incrementalPlanLocked() (*incrPlan, string) {
 }
 
 // rebuildIncremental runs the dirty-block rebuild against immutable
-// inputs: the snapshot graph, the old Precomputed, and the plan. It never
-// mutates old — concurrent queries keep reading it — and returns a new
-// Precomputed whose query results are bit-identical to a full
-// re-factorization of the snapshot under the reused ordering. Every stage
-// is the full pass's own (factorBlock, hColumn, schurComplement,
-// factorSchur, finish), run over the dirty blocks only.
-func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed, plan *incrPlan, rep *RebuildReport) (*Precomputed, error) {
+// inputs: the graph old was built from (base), the snapshot graph, the
+// old Precomputed, and the plan. It never mutates old — concurrent
+// queries keep reading it — and returns a new Precomputed whose query
+// results are bit-identical to a full re-factorization of the snapshot
+// under the reused ordering. Every stage is the full pass's own
+// (factorBlock, hColumn, schurComplement, factorSchur, finish), run over
+// the dirty blocks only.
+func rebuildIncremental(ctx context.Context, base, snap *graph.Graph, old *Precomputed, plan *incrPlan, rep *RebuildReport) (*Precomputed, error) {
 	// Stage 1 (Algorithm 1 line 5, dirty blocks only): rebuild each dirty
 	// diagonal block of H₁₁ from the snapshot rows and re-factor it.
 	tlu := time.Now()
@@ -403,14 +404,19 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 	// range surgery — rows outside the dirty blocks keep their bits), and
 	// replace the dirty columns of H₂₁ (the hub rows of the changed
 	// columns of H). The retained exact H, when present, gets the same
-	// column replacement so Residual and refinement stay truthful.
+	// column replacement so Residual and refinement stay truthful. |H|
+	// moves by each dirty column's new length minus its old one, whether
+	// or not H is retained.
 	tsplice := time.Now()
 	l1inv := old.L1Inv.SpliceRows(lSplices)
 	u1inv := old.U1Inv.SpliceRows(uSplices)
-	var hcoords, h21coords []sparse.Coord
+	var hcoords, h21coords, oldCol []sparse.Coord
+	nnzH := old.Stats.NNZH
 	for _, pos := range plan.dirtyPos {
 		start := len(hcoords)
 		hcoords = old.hColumn(hcoords, snap, pos)
+		oldCol = old.hColumn(oldCol[:0], base, pos)
+		nnzH += len(hcoords) - start - len(oldCol)
 		for _, e := range hcoords[start:] {
 			if e.Row >= old.N1 {
 				h21coords = append(h21coords, sparse.Coord{Row: e.Row - old.N1, Col: pos, Val: e.Val})
@@ -487,11 +493,9 @@ func rebuildIncremental(ctx context.Context, snap *graph.Graph, old *Precomputed
 	p2.finish()
 	p2.Stats = old.Stats
 	p2.Stats.M = snap.M()
+	p2.Stats.NNZH = nnzH
 	p2.Stats.NNZH12H21 = old.H12.NNZ() + h21.NNZ()
 	p2.Stats.NNZL1U1 = l1inv.NNZ() + u1inv.NNZ()
 	p2.Stats.NNZL2U2 = l2inv.NNZ() + u2inv.NNZ()
-	if hFull != nil {
-		p2.Stats.NNZH = hFull.NNZ()
-	}
 	return p2, nil
 }

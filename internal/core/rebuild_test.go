@@ -395,6 +395,34 @@ func TestIncrementalRebuildNoPendingNoOp(t *testing.T) {
 	}
 }
 
+// TestIncrementalRebuildStatsMatchPreprocess: after incremental rebuilds,
+// with and without the retained exact H, Stats.NNZH and Stats.M are what
+// a fresh Preprocess of the same graph reports.
+func TestIncrementalRebuildStatsMatchPreprocess(t *testing.T) {
+	for _, keepH := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(69))
+		d, err := NewDynamic(gen.RMAT(gen.NewRMATPul(300, 1800, 0.7, 60)), Options{K: 2, KeepH: keepH})
+		if err != nil {
+			t.Fatalf("NewDynamic: %v", err)
+		}
+		for round := 0; round < 2; round++ {
+			applyEligibleChurn(t, rng, d, 0.05)
+			if _, err := d.RebuildCtx(context.Background(), RebuildIncremental); err != nil {
+				t.Fatalf("KeepH=%v round %d: incremental rebuild: %v", keepH, round, err)
+			}
+			fresh, err := Preprocess(d.Graph(), Options{K: 2})
+			if err != nil {
+				t.Fatalf("Preprocess: %v", err)
+			}
+			got, want := d.Precomputed().Stats, fresh.Stats
+			if got.NNZH != want.NNZH || got.M != want.M {
+				t.Fatalf("KeepH=%v round %d: NNZH=%d M=%d, fresh Preprocess reads NNZH=%d M=%d",
+					keepH, round, got.NNZH, got.M, want.NNZH, want.M)
+			}
+		}
+	}
+}
+
 // TestAutoRebuildAfterLoadFallsBackOnce: the Schur-assembly cache is
 // derived state and never serialized, so the first auto rebuild of a
 // loaded index records no_cache, runs full, and repopulates the cache —

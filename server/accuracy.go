@@ -41,13 +41,7 @@ type AccuracyReport struct {
 	MinCosine   float64          `json:"min_cosine"`
 }
 
-func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.lookup(name)
-	if !ok {
-		writeError(w, errNotFound(name))
-		return
-	}
+func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request, name string, e *entry) {
 	if e.dyn.PendingNodes() > 0 {
 		writeError(w, errBadRequest("accuracy check requires a rebuild after updates"))
 		return

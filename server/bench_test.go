@@ -49,7 +49,7 @@ func zipfSeeds(n, count int) []int {
 }
 
 // BenchmarkServeHotPath measures one query through the full handler stack
-// (routing, admission, cache, JSON encoding) under a Zipf seed mix.
+// (routing, admission, cache, the wire appender) under a Zipf seed mix.
 // "hit" serves from a warmed cache; "miss" runs with the cache disabled so
 // every request pays a full solve. The hit/miss ratio is the cache's
 // value on the serving hot path.
@@ -86,9 +86,10 @@ func BenchmarkServeHotPath(b *testing.B) {
 	})
 }
 
-// BenchmarkServeBatch measures the batch endpoint against the equivalent
-// single-seed loop through the handler, cache disabled in both arms so
-// the comparison isolates the blocked multi-RHS solver.
+// BenchmarkServeBatch measures one 64-seed /batch request against 64
+// single-seed /query requests through the handler, cache disabled in both
+// arms. Every seed runs the same top-k solve either way, so the
+// comparison prices one request's overhead against 64.
 func BenchmarkServeBatch(b *testing.B) {
 	const batch = 64
 	b.Run("batch", func(b *testing.B) {

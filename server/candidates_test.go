@@ -198,8 +198,8 @@ func TestTopKMetricCounts(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/graphs/g/topk?seed=0&k=3", "", http.StatusOK)
 
 	body := scrape(t, ts.URL)
-	if !strings.Contains(body, "bear_candidates_requests_total 1") {
-		t.Errorf("metrics missing bear_candidates_requests_total 1")
+	if !strings.Contains(body, `bear_http_requests_total{code="200",endpoint="candidates"} 1`) {
+		t.Errorf(`metrics missing bear_http_requests_total{code="200",endpoint="candidates"} 1`)
 	}
 	if strings.Contains(body, "bear_topk_pruned_total") {
 		t.Errorf("metrics still export the removed bear_topk_pruned_total series")

@@ -61,9 +61,10 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzCandidatesRequest throws arbitrary bodies at the /candidates request
-// parser: no input may panic, and whatever validates must come back
-// normalized — seeds in range, K in [1, n].
+// FuzzCandidatesRequest throws arbitrary bodies at the seed-list parser
+// behind /candidates and /batch: no input may panic, and whatever
+// validates must come back normalized — seeds in range, K and Top in
+// [1, n].
 func FuzzCandidatesRequest(f *testing.F) {
 	f.Add([]byte(`{"seeds":[0,1,2],"k":5}`))
 	f.Add([]byte(`{"seeds":[0]}`))
@@ -76,9 +77,10 @@ func FuzzCandidatesRequest(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	f.Add([]byte("\xff\xfe{}"))
+	f.Add([]byte(`{"seeds":[3,3],"top":500}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 100
-		req, err := parseCandidatesRequest(bytes.NewReader(data), n)
+		req, err := parseSeedList(bytes.NewReader(data), n)
 		if err != nil {
 			return
 		}
@@ -90,8 +92,8 @@ func FuzzCandidatesRequest(f *testing.F) {
 				t.Fatalf("validated request kept out-of-range seed %d", s)
 			}
 		}
-		if req.K <= 0 || req.K > n {
-			t.Fatalf("validated request has K=%d outside [1,%d]", req.K, n)
+		if req.K <= 0 || req.K > n || req.Top <= 0 || req.Top > n {
+			t.Fatalf("validated request has K=%d Top=%d outside [1,%d]", req.K, req.Top, n)
 		}
 	})
 }

@@ -40,8 +40,6 @@ type serverMetrics struct {
 	refineSweeps   *obsv.Counter
 	refineResidual *obsv.Histogram
 
-	candidatesRequests *obsv.Counter
-
 	mu        sync.Mutex
 	endpoints map[string]*endpointMetrics
 }
@@ -80,9 +78,6 @@ func (s *Server) metrics() *serverMetrics {
 			"Richardson refinement sweeps applied across all refined queries; the ratio to bear_refine_queries_total is the mean sweeps per query.")
 		m.refineResidual = reg.Histogram("bear_refine_residual",
 			"Final score-level residual infinity-norm of refined queries.", obsv.ResidualBuckets)
-
-		m.candidatesRequests = reg.Counter("bear_candidates_requests_total",
-			"Link-prediction candidate requests served (POST /candidates), counted before validation.")
 
 		cacheStats := func() resultcache.Stats { return s.resultCache().Stats() }
 		reg.CounterFunc("bear_cache_hits_total",

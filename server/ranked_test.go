@@ -260,3 +260,53 @@ func isolated(p *bear.Precomputed, v int) bool {
 	}
 	return true
 }
+
+// TestDefaultCountClampedToSmallGraph: on a graph of fewer than 10 nodes,
+// a ranked read that names no count asks for every node, so it shares
+// its cache entry with one that asks for 10, and /batch shares /query's.
+func TestDefaultCountClampedToSmallGraph(t *testing.T) {
+	_, ts := newTestServer(t)
+	base := ts.URL + "/v1/graphs/g"
+	doJSON(t, "PUT", base, "0 1\n1 2\n2 3\n3 4\n4 0\n", http.StatusCreated)
+	for _, c := range []struct {
+		method, path, body string
+		want               string
+	}{
+		{"GET", "/query?seed=0", "", "miss"},
+		{"GET", "/query?seed=0&top=10", "", "hit"},
+		{"POST", "/batch", `{"seeds":[0]}`, "hit"},
+		{"POST", "/batch", `{"seeds":[0],"top":10}`, "hit"},
+		{"GET", "/pagerank", "", "miss"},
+		{"GET", "/pagerank?top=10", "", "hit"},
+		{"POST", "/ppr", `{"seeds":{"1":1}}`, "miss"},
+		{"POST", "/ppr", `{"seeds":{"1":1},"top":10}`, "hit"},
+		{"GET", "/topk?seed=2", "", "miss"},
+		{"GET", "/topk?seed=2&k=10", "", "hit"},
+		{"POST", "/candidates", `{"seeds":[3]}`, "miss"},
+		{"POST", "/candidates", `{"seeds":[3],"k":10}`, "hit"},
+	} {
+		out, st := doJSONCache(t, c.method, base+c.path, c.body, http.StatusOK)
+		if st != c.want {
+			t.Fatalf("%s %s %s: X-Cache %q, want %q", c.method, c.path, c.body, st, c.want)
+		}
+		list := out["results"].([]interface{})
+		if c.method == "POST" && strings.HasPrefix(c.body, `{"seeds":[`) {
+			slot := list[0].(map[string]interface{})
+			if slot["cache"] != c.want {
+				t.Fatalf("%s %s: slot cache %v, want %q", c.path, c.body, slot["cache"], c.want)
+			}
+			if slot["results"] != nil {
+				list = slot["results"].([]interface{})
+			} else {
+				list = slot["candidates"].([]interface{})
+			}
+		}
+		want := 5
+		if strings.HasPrefix(c.path, "/candidates") {
+			want = 3 // the seed and its out-neighbor 4 are excluded
+		}
+		if len(list) != want {
+			t.Fatalf("%s %s %s: %d results, want %d", c.method, c.path, c.body, len(list), want)
+		}
+	}
+}

@@ -16,8 +16,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"net/url"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,9 +24,7 @@ import (
 	"time"
 
 	"bear"
-	"bear/internal/obsv"
 	"bear/internal/resultcache"
-	"bear/internal/wire"
 )
 
 // Server is a registry of preprocessed graphs behind an http.Handler. The
@@ -159,18 +155,23 @@ func New() *Server {
 //	GET    /v1/graphs/{name}/pagerank?top=
 //	POST   /v1/graphs/{name}/ppr?refine=      (body: {"seeds":{"3":0.5},"top":10})
 //	POST   /v1/graphs/{name}/batch?refine=    (body: {"seeds":[1,2,3],"top":10})
+//	GET    /v1/graphs/{name}/topk?seed=&k=
+//	POST   /v1/graphs/{name}/candidates       (body: {"seeds":[1,2,3],"k":10})
 //	POST   /v1/graphs/{name}/edges    (body: {"op":"add","u":1,"v":2,"w":1})
 //	POST   /v1/graphs/{name}/rebuild  (?async=1 for a non-blocking rebuild)
 //	POST   /v1/snapshot               (persist the registry to SnapshotPath)
 //	GET    /metrics                   (Prometheus text format; EnableMetrics)
 //
-// Read endpoints answer through the epoch-keyed result cache and set an
+// Every /v1/graphs/{name} route but the two uploads (PUT and import)
+// answers 404 with a JSON error when no graph is registered under that
+// name. The six ranked reads (query, topk, pagerank, ppr, batch,
+// candidates) answer through the epoch-keyed result cache and set an
 // X-Cache header (hit, miss, or coalesced — the request shared another
-// in-flight solve). Query endpoints accept ?trace=1 to include a
-// per-stage solver timing breakdown in the response, and ?refine=<tol> to
-// answer through iterative refinement against the retained exact operator
-// (recovering exact-level accuracy from a drop-tolerance-degraded index;
-// requires no pending updates).
+// in-flight solve). They accept ?trace=1 to include a per-stage solver
+// timing breakdown in the response; query, ppr and batch also accept
+// ?refine=<tol> to answer through iterative refinement against the
+// retained exact operator (recovering exact-level accuracy from a
+// drop-tolerance-degraded index; requires no pending updates).
 //
 // All /v1 routes run behind admission control (503 + Retry-After under
 // overload) and panic recovery; /healthz, /readyz, and /metrics bypass
@@ -178,21 +179,25 @@ func New() *Server {
 // saturated.
 func (s *Server) Handler() http.Handler {
 	api := http.NewServeMux()
+	// A graph-scoped route's handler is handed the graph its {name} names.
+	graph := func(pattern, endpoint string, h graphHandler) {
+		api.HandleFunc(pattern, s.instrument(endpoint, s.withGraph(h)))
+	}
 	api.HandleFunc("GET /v1/graphs", s.instrument("list", s.handleList))
 	api.HandleFunc("PUT /v1/graphs/{name}", s.instrument("put", s.handlePut))
-	api.HandleFunc("GET /v1/graphs/{name}", s.instrument("graph_stats", s.handleStats))
+	graph("GET /v1/graphs/{name}", "graph_stats", s.handleStats)
 	api.HandleFunc("DELETE /v1/graphs/{name}", s.instrument("delete", s.handleDelete))
-	api.HandleFunc("GET /v1/graphs/{name}/export", s.instrument("export", s.handleExport))
+	graph("GET /v1/graphs/{name}/export", "export", s.handleExport)
 	api.HandleFunc("PUT /v1/graphs/{name}/import", s.instrument("import", s.handleImport))
-	api.HandleFunc("GET /v1/graphs/{name}/query", s.instrument("query", s.handleQuery))
-	api.HandleFunc("GET /v1/graphs/{name}/accuracy", s.instrument("accuracy", s.handleAccuracy))
-	api.HandleFunc("GET /v1/graphs/{name}/pagerank", s.instrument("pagerank", s.handlePageRank))
-	api.HandleFunc("POST /v1/graphs/{name}/ppr", s.instrument("ppr", s.handlePPR))
-	api.HandleFunc("POST /v1/graphs/{name}/batch", s.instrument("batch", s.handleBatch))
-	api.HandleFunc("GET /v1/graphs/{name}/topk", s.instrument("topk", s.handleTopK))
-	api.HandleFunc("POST /v1/graphs/{name}/candidates", s.instrument("candidates", s.handleCandidates))
-	api.HandleFunc("POST /v1/graphs/{name}/edges", s.instrument("edges", s.handleEdges))
-	api.HandleFunc("POST /v1/graphs/{name}/rebuild", s.instrument("rebuild", s.handleRebuild))
+	graph("GET /v1/graphs/{name}/query", "query", s.handleQuery)
+	graph("GET /v1/graphs/{name}/accuracy", "accuracy", s.handleAccuracy)
+	graph("GET /v1/graphs/{name}/pagerank", "pagerank", s.handlePageRank)
+	graph("POST /v1/graphs/{name}/ppr", "ppr", s.handlePPR)
+	graph("POST /v1/graphs/{name}/batch", "batch", s.handleBatch)
+	graph("GET /v1/graphs/{name}/topk", "topk", s.handleTopK)
+	graph("POST /v1/graphs/{name}/candidates", "candidates", s.handleCandidates)
+	graph("POST /v1/graphs/{name}/edges", "edges", s.handleEdges)
+	graph("POST /v1/graphs/{name}/rebuild", "rebuild", s.handleRebuild)
 	api.HandleFunc("POST /v1/snapshot", s.instrument("snapshot", s.handleSnapshot))
 
 	mux := http.NewServeMux()
@@ -280,6 +285,23 @@ func (s *Server) lookup(name string) (*entry, bool) {
 	return e, ok
 }
 
+// graphHandler serves one route of the graph registered under name.
+type graphHandler func(w http.ResponseWriter, r *http.Request, name string, e *entry)
+
+// withGraph looks up the graph a route's {name} names and hands it to h,
+// answering 404 when no graph is registered under that name.
+func (s *Server) withGraph(h graphHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("name")
+		e, ok := s.lookup(name)
+		if !ok {
+			writeError(w, errNotFound(name))
+			return
+		}
+		h(w, r, name, e)
+	}
+}
+
 type httpError struct {
 	status int
 	msg    string
@@ -317,32 +339,6 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // a failed write means the client went away
-}
-
-// rankedBufs recycles the ranked handlers' response buffers; maxRankedBuf
-// keeps a rare huge body (a /pagerank of every node) out of the pool.
-var rankedBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxRankedBuf = 256 << 10
-
-// writeRanked answers 200 with a ranked document, written by the wire
-// appender — encoding/json's bytes without its reflection — with the
-// request's trace when it asked for one (?trace=1).
-func writeRanked(w http.ResponseWriter, doc wire.Doc, tr *obsv.Trace, debug bool) {
-	if debug {
-		doc.Trace = traceSpans(tr)
-	}
-	bp := rankedBufs.Get().(*[]byte)
-	b, err := wire.Append((*bp)[:0], &doc)
-	if err != nil {
-		writeEncodeError(w, err)
-	} else {
-		writeBody(w, http.StatusOK, b)
-	}
-	if cap(b) <= maxRankedBuf {
-		*bp = b
-		rankedBufs.Put(bp)
-	}
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -503,13 +499,7 @@ func sniffLoad(r io.Reader) (*bear.Graph, error) {
 	return bear.LoadEdgeList(br)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.lookup(name)
-	if !ok {
-		writeError(w, errNotFound(name))
-		return
-	}
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, name string, e *entry) {
 	writeJSON(w, http.StatusOK, e.info(name))
 }
 
@@ -527,358 +517,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
-// ScoredNode is one ranked result.
-type ScoredNode = wire.ScoredNode
-
-func topResults(scores []float64, top int) []ScoredNode {
-	if top <= 0 {
-		top = 10
-	}
-	// Clamp to the score vector so an absurd requested count cannot drive
-	// the ranking loop and response allocation off a cliff.
-	if top > len(scores) {
-		top = len(scores)
-	}
-	ids := bear.TopK(scores, top)
-	out := make([]ScoredNode, len(ids))
-	for i, u := range ids {
-		out[i] = ScoredNode{Node: u, Score: scores[u]}
-	}
-	return out
-}
-
-// parseTop reads the ?top= parameter, defaulting to 10 and clamping to the
-// graph's node count n (?top=1000000000 returns every node, not an error).
-func parseTop(q url.Values, n int) (int, error) {
-	v := q.Get("top")
-	if v == "" {
-		return 10, nil
-	}
-	top, err := strconv.Atoi(v)
-	if err != nil || top <= 0 {
-		return 0, errBadRequest("top %q must be a positive integer", v)
-	}
-	if top > n {
-		top = n
-	}
-	return top, nil
-}
-
-// parseRefine reads the ?refine=<tol> parameter shared by the query, ppr,
-// and batch endpoints: 0 (or absent) answers through the plain solver,
-// a positive tolerance answers through iterative refinement against the
-// retained exact H until the relative residual falls below it.
-func parseRefine(q url.Values) (float64, error) {
-	v := q.Get("refine")
-	if v == "" {
-		return 0, nil
-	}
-	tol, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(tol) || math.IsInf(tol, 0) || tol < 0 {
-		return 0, errBadRequest("refine %q must be a finite non-negative tolerance", v)
-	}
-	return tol, nil
-}
-
-// refineGate rejects parameter combinations the refined path cannot serve:
-// refinement verifies against the preprocessed matrices, so pending dynamic
-// updates (answered through the Woodbury correction, which H knows nothing
-// about) require a rebuild first — the same restriction effective
-// importance has.
-func refineGate(e *entry, refine float64) error {
-	if refine > 0 && e.dyn.PendingNodes() > 0 {
-		return errBadRequest("refined queries require a rebuild after updates")
-	}
-	return nil
-}
-
-// rankedResults is a top-k answer as response entries.
-func rankedResults(res *bear.TopKResult) []ScoredNode {
-	out := make([]ScoredNode, len(res.Nodes))
-	for i, node := range res.Nodes {
-		out[i] = ScoredNode{Node: node, Score: res.Scores[i]}
-	}
-	return out
-}
-
-// solveSeed answers one seed's ranked read on a cache miss, for /query
-// and /batch alike: the top-k solve, bit-identical to ranking the full
-// score vector, or iterative refinement to tolerance refine when it is
-// positive.
-func (s *Server) solveSeed(ctx context.Context, e *entry, seed, top int, refine float64) ([]ScoredNode, error) {
-	if refine > 0 {
-		p := e.dyn.Precomputed()
-		if seed < 0 || seed >= p.N {
-			return nil, fmt.Errorf("seed %d out of range [0,%d)", seed, p.N)
-		}
-		q := make([]float64, p.N)
-		q[seed] = 1
-		scores, err := s.refineSolve(ctx, e, q, refine)
-		if err != nil {
-			return nil, err
-		}
-		return topResults(scores, top), nil
-	}
-	res, err := e.dyn.QueryTopKCtx(ctx, seed, top)
-	if err != nil {
-		return nil, err
-	}
-	return rankedResults(res), nil
-}
-
-// refineOne answers one starting distribution through iterative refinement
-// and records the refinement metrics (queries, sweeps, final residual).
-func (s *Server) refineOne(ctx context.Context, e *entry, q []float64, tol float64) ([]float64, bear.RefineStats, error) {
-	dst := make([]float64, len(q))
-	stats, err := e.dyn.Precomputed().QueryRefinedCtx(ctx, dst, q, tol, 0, nil)
-	if err != nil {
-		return nil, stats, err
-	}
-	s.observeRefine(stats)
-	return dst, stats, nil
-}
-
-// refineSolve is refineOne without the stats, shaped for cachedSolve's
-// solve closure; it runs only on cache misses, so hits do not re-count.
-func (s *Server) refineSolve(ctx context.Context, e *entry, q []float64, tol float64) ([]float64, error) {
-	dst, _, err := s.refineOne(ctx, e, q, tol)
-	return dst, err
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.lookup(name)
-	if !ok {
-		writeError(w, errNotFound(name))
-		return
-	}
-	q := r.URL.Query()
-	seedStr := q.Get("seed")
-	seed, err := strconv.Atoi(seedStr)
-	if err != nil {
-		writeError(w, errBadRequest("seed %q must be an integer", seedStr))
-		return
-	}
-	top, err := parseTop(q, e.dyn.Graph().N())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	useEI := q.Get("ei") != ""
-	if useEI && e.dyn.PendingNodes() > 0 {
-		writeError(w, errBadRequest("effective importance requires a rebuild after updates"))
-		return
-	}
-	refine, err := parseRefine(q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if refine > 0 && useEI {
-		writeError(w, errBadRequest("refine cannot be combined with ei: effective importance has no residual to verify"))
-		return
-	}
-	if err := refineGate(e, refine); err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, q)
-	var ei byte
-	if useEI {
-		ei = 1
-	}
-	// Keep this key shape in sync with handleBatch's per-seed probe, which
-	// must hit the same entries.
-	hash := e.hasher("query").Int(seed).Byte(ei).Float64(refine).Int(top).Sum()
-	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
-		// Effective importance divides every score by its node's degree,
-		// so only it ranks a full score vector of its own.
-		if useEI {
-			scores, err := e.dyn.Precomputed().QueryEffectiveImportanceCtx(ctx, seed)
-			if err != nil {
-				return nil, err
-			}
-			return &answer{results: topResults(scores, top)}, nil
-		}
-		results, err := s.solveSeed(ctx, e, seed, top, refine)
-		if err != nil {
-			return nil, err
-		}
-		return &answer{results: results}, nil
-	})
-	if err != nil {
-		writeError(w, queryError(err))
-		return
-	}
-	s.logSlow("query", name, status, time.Since(start), tr, func() string { return fmt.Sprintf("seed=%d", seed) })
-	w.Header().Set("X-Cache", status)
-	writeRanked(w, wire.Doc{Kind: wire.KindQuery, Graph: name, Seed: seed, Results: res.results}, tr, debug)
-}
-
-func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.lookup(name)
-	if !ok {
-		writeError(w, errNotFound(name))
-		return
-	}
-	n := e.dyn.Graph().N()
-	q := r.URL.Query()
-	top, err := parseTop(q, n)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, q)
-	hash := e.hasher("pagerank").Int(top).Sum()
-	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
-		// PageRank misses once per top and epoch, so its uniform starting
-		// vector is allocated here and solved in place.
-		q := make([]float64, n)
-		for i := range q {
-			q[i] = 1 / float64(n)
-		}
-		if err := e.dyn.QueryDistToCtx(ctx, q, q); err != nil {
-			return nil, err
-		}
-		return &answer{results: topResults(q, top)}, nil
-	})
-	if err != nil {
-		writeError(w, queryError(err))
-		return
-	}
-	s.logSlow("pagerank", name, status, time.Since(start), tr, func() string { return fmt.Sprintf("top=%d", top) })
-	w.Header().Set("X-Cache", status)
-	writeRanked(w, wire.Doc{Kind: wire.KindList, Graph: name, Results: res.results}, tr, debug)
-}
-
-// queryError classifies a failure out of the solver: context errors keep
-// their identity (so writeError maps them to 504/499) while anything else
-// is the caller's fault and reports as 400.
-func queryError(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		return err
-	}
-	return errBadRequest("query: %v", err)
-}
-
-type pprRequest struct {
-	Seeds map[string]float64 `json:"seeds"`
-	Top   int                `json:"top"`
-}
-
-func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.lookup(name)
-	if !ok {
-		writeError(w, errNotFound(name))
-		return
-	}
-	var req pprRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, errBadRequest("decoding body: %v", err))
-		return
-	}
-	if len(req.Seeds) == 0 {
-		writeError(w, errBadRequest("seeds must not be empty"))
-		return
-	}
-	n := e.dyn.Graph().N()
-	dist := make(map[int]float64, len(req.Seeds))
-	for k, weight := range req.Seeds {
-		node, err := strconv.Atoi(k)
-		if err != nil || node < 0 || node >= n {
-			writeError(w, errBadRequest("seed %q out of range [0,%d)", k, n))
-			return
-		}
-		if weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
-			writeError(w, errBadRequest("seed %q weight %v must be a finite non-negative number", k, weight))
-			return
-		}
-		dist[node] = weight
-	}
-	// The distribution's support, in node order with zero weights dropped:
-	// the solve's input and the cache key's.
-	nodes := make([]int, 0, len(dist))
-	for node, weight := range dist {
-		if weight != 0 {
-			nodes = append(nodes, node)
-		}
-	}
-	// Per-weight validation allows 0 (a harmless no-op entry), but a map
-	// whose weights are *all* zero describes no starting distribution at
-	// all — solving it would cache and return an all-zero vector. Reject
-	// before the cache lookup.
-	if len(nodes) == 0 {
-		writeError(w, errBadRequest("seed weights must not all be zero"))
-		return
-	}
-	slices.Sort(nodes)
-	weights := make([]float64, len(nodes))
-	for i, node := range nodes {
-		weights[i] = dist[node]
-	}
-	top := req.Top
-	if top <= 0 {
-		top = 10
-	}
-	if top > n {
-		top = n
-	}
-	q := r.URL.Query()
-	refine, err := parseRefine(q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := refineGate(e, refine); err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	ctx, tr, debug := s.traceContext(ctx, q)
-	// Fold the normalized distribution (node-order, zeros skipped) so the
-	// hash is independent of JSON key order and duplicate spellings.
-	h := e.hasher("ppr")
-	for i, node := range nodes {
-		h = h.Int(node).Float64(weights[i])
-	}
-	hash := h.Float64(refine).Int(top).Sum()
-	start := time.Now()
-	res, status, err := s.cachedSolve(ctx, e, hash, func(ctx context.Context) (*answer, error) {
-		if refine > 0 {
-			q := make([]float64, n)
-			for i, node := range nodes {
-				q[node] = weights[i]
-			}
-			scores, err := s.refineSolve(ctx, e, q, refine)
-			if err != nil {
-				return nil, err
-			}
-			return &answer{results: topResults(scores, top)}, nil
-		}
-		res, err := e.dyn.QueryDistTopKCtx(ctx, nodes, weights, top)
-		if err != nil {
-			return nil, err
-		}
-		return &answer{results: rankedResults(res)}, nil
-	})
-	if err != nil {
-		writeError(w, queryError(err))
-		return
-	}
-	s.logSlow("ppr", name, status, time.Since(start), tr, func() string { return fmt.Sprintf("seeds=%d", len(req.Seeds)) })
-	w.Header().Set("X-Cache", status)
-	writeRanked(w, wire.Doc{Kind: wire.KindList, Graph: name, Results: res.results}, tr, debug)
-}
-
 type edgeRequest struct {
 	Op      string    `json:"op"` // add, remove, replace
 	U       int       `json:"u"`
@@ -888,13 +526,7 @@ type edgeRequest struct {
 	Weights []float64 `json:"weights"` // replace only
 }
 
-func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.lookup(name)
-	if !ok {
-		writeError(w, errNotFound(name))
-		return
-	}
+func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request, name string, e *entry) {
 	var req edgeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, errBadRequest("decoding body: %v", err))
@@ -967,13 +599,7 @@ func (s *Server) startRebuild(name string, e *entry, mode bear.RebuildMode) {
 	}()
 }
 
-func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.lookup(name)
-	if !ok {
-		writeError(w, errNotFound(name))
-		return
-	}
+func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request, name string, e *entry) {
 	mode, err := bear.ParseRebuildMode(r.URL.Query().Get("mode"))
 	if err != nil {
 		writeError(w, errBadRequest("%v", err))

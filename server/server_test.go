@@ -338,6 +338,34 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownGraphAnswers404 covers the one graph lookup: every route
+// under /v1/graphs/{name} but the two uploads answers 404 with a JSON
+// error naming the graph, before it reads its parameters or its body.
+func TestUnknownGraphAnswers404(t *testing.T) {
+	_, ts := newTestServer(t)
+	base := ts.URL + "/v1/graphs"
+	doJSON(t, "PUT", base+"/g", edgeListBody(), http.StatusCreated)
+	for _, c := range []struct{ method, path, body string }{
+		{"GET", "", ""},
+		{"DELETE", "", ""},
+		{"GET", "/export", ""},
+		{"GET", "/query", ""},
+		{"GET", "/accuracy?k=0", ""},
+		{"GET", "/pagerank?top=x", ""},
+		{"POST", "/ppr", "not json"},
+		{"POST", "/batch", "not json"},
+		{"GET", "/topk", ""},
+		{"POST", "/candidates", "not json"},
+		{"POST", "/edges", "not json"},
+		{"POST", "/rebuild?mode=sideways", ""},
+	} {
+		out := doJSON(t, c.method, base+"/missing"+c.path, c.body, http.StatusNotFound)
+		if msg, _ := out["error"].(string); msg != `graph "missing" not found` {
+			t.Errorf("%s /missing%s: error %q", c.method, c.path, msg)
+		}
+	}
+}
+
 func TestMatrixMarketUpload(t *testing.T) {
 	_, ts := newTestServer(t)
 	mm := "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 2 1\n2 3 1\n3 1 1\n"

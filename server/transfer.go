@@ -16,13 +16,7 @@ import (
 // the edge list.
 
 // handleExport serves GET /v1/graphs/{name}/export.
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	e, ok := s.lookup(name)
-	if !ok {
-		writeError(w, errNotFound(name))
-		return
-	}
+func (s *Server) handleExport(w http.ResponseWriter, r *http.Request, name string, e *entry) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	// SaveState holds the graph's lock while serializing, so the blob is a
 	// consistent point-in-time state even under concurrent updates. A

@@ -64,7 +64,7 @@ func main() {
 	readBudget := flag.Duration("read-budget", 20*time.Second, "total wall clock one read may spend across failover attempts")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge deadline; 0 = adaptive (p95 of observed attempt latency)")
 	noHedge := flag.Bool("no-hedge", false, "disable hedged reads")
-	staleTTL := flag.Duration("stale-ttl", 5*time.Minute, "max age of a last-good response served under degradation (0 = disable stale serving)")
+	staleTTL := flag.Duration("stale-ttl", 5*time.Minute, "max age of a last-good response served under degradation (0 = the 5m default; negative = disable stale serving)")
 	ejectAfter := flag.Duration("eject-duration", 5*time.Second, "cooldown before an ejected shard is re-tried half-open")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second, "active /readyz probe interval")
 	probeFails := flag.Int("probe-failures", 3, "consecutive probe failures that eject a shard")

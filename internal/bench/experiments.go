@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"bear/internal/core"
@@ -640,17 +639,4 @@ func RunRefine(cfg Config) ([]*Table, error) {
 		}
 	}
 	return []*Table{t}, nil
-}
-
-// SortRows orders a table's rows lexicographically; used by tests that
-// need deterministic output.
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool {
-		for k := range t.Rows[i] {
-			if t.Rows[i][k] != t.Rows[j][k] {
-				return t.Rows[i][k] < t.Rows[j][k]
-			}
-		}
-		return false
-	})
 }

@@ -69,17 +69,6 @@ func ExactMethods() []Method {
 	}
 }
 
-// ApproxMethods returns the approximate competitors of Figures 8, 12 and 13.
-func ApproxMethods() []Method {
-	return []Method{
-		BearMethod{Label: "bear-approx"},
-		rwr.BLin{},
-		rwr.NBLin{},
-		rwr.RPPR{},
-		rwr.BRPPR{},
-	}
-}
-
 // HasPreprocessing reports whether a method precomputes matrices; the
 // iterative and RPPR/BRPPR methods do not, and the paper excludes them from
 // space comparisons.

@@ -102,7 +102,7 @@ func rebuildOnce(g *graph.Graph, p *core.Precomputed, ops []churnOp, mode core.R
 }
 
 // measureRebuildSweep times paired full/incremental rebuilds for each
-// requested (dataset, churn) cell with an interleaved min-of-3 protocol:
+// requested (dataset, churn) cell with an interleaved min-of-15 protocol:
 // the two legs alternate within each round so a slow host phase cannot
 // land entirely on one of them, and each leg reports its best round.
 // wanted filters the cells (nil = the whole default sweep), letting the
@@ -110,7 +110,7 @@ func rebuildOnce(g *graph.Graph, p *core.Precomputed, ops []churnOp, mode core.R
 func measureRebuildSweep(cfg Config, wanted func(dataset string, churn float64) bool) ([]RebuildResult, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	const rounds = 3
+	const rounds = 15
 	var out []RebuildResult
 	for _, name := range rebuildSweepDatasets {
 		d, err := DatasetByName(name)
@@ -204,7 +204,7 @@ func RunRebuild(cfg Config) ([]*Table, error) {
 	}
 	t := &Table{
 		Title:   "Rebuild paths: full re-preprocess vs incremental dirty-block surgery",
-		Note:    "interleaved min-of-3 per leg from identical pre-rebuild state; auto column is the default-policy decision",
+		Note:    "interleaved min-of-15 per leg from identical pre-rebuild state; auto column is the default-policy decision",
 		Headers: []string{"dataset", "churn", "dirty", "blocks", "full_ms", "incr_ms", "speedup", "auto"},
 	}
 	for _, r := range results {

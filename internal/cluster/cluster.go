@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"bear/internal/resultcache"
 	"bear/internal/retry"
 )
 
@@ -53,27 +54,15 @@ type Config struct {
 	ReadBudget time.Duration
 
 	// HedgeDelay, when positive, fixes the hedge deadline. Zero selects
-	// the adaptive deadline: the HedgeQuantile of observed attempt
-	// latency, clamped to [HedgeMin, HedgeMax].
-	HedgeDelay    time.Duration
-	HedgeQuantile float64       // default 0.95
-	HedgeMin      time.Duration // default 5ms
-	HedgeMax      time.Duration // default 1s
-	DisableHedge  bool
+	// the adaptive deadline: the hedgeQuantile of observed attempt
+	// latency, clamped to [hedgeMin, hedgeMax].
+	HedgeDelay   time.Duration
+	DisableHedge bool
 
 	// StaleTTL is how old a last-good response may be and still be served
-	// under degradation (default 5m; 0 disables stale serving, degrading
-	// straight to 503).
+	// under degradation (default 5m, also when zero; a negative value
+	// disables stale serving, degrading straight to 503).
 	StaleTTL time.Duration
-	// StaleMaxEntries bounds the last-good cache (default 4096).
-	StaleMaxEntries int
-
-	// MaxBodyBytes caps buffered request bodies for fanout (default 256
-	// MiB, matching bearserve).
-	MaxBodyBytes int64
-	// MaxRespBytes caps a buffered upstream response (default 256 MiB —
-	// graph exports pass through here).
-	MaxRespBytes int64
 
 	// ErrorLog receives proxy errors (default: the log package's standard
 	// logger).
@@ -101,28 +90,27 @@ func (c *Config) fillDefaults() {
 	if c.ReadBudget <= 0 {
 		c.ReadBudget = 20 * time.Second
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 5 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = time.Second
-	}
 	if c.StaleTTL == 0 {
 		c.StaleTTL = 5 * time.Minute
 	}
-	if c.StaleMaxEntries <= 0 {
-		c.StaleMaxEntries = 4096
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 256 << 20
-	}
-	if c.MaxRespBytes <= 0 {
-		c.MaxRespBytes = 256 << 20
-	}
 }
+
+const (
+	// The adaptive hedge deadline: this quantile of observed attempt
+	// latency, clamped to [hedgeMin, hedgeMax].
+	hedgeQuantile = 0.95
+	hedgeMin      = 5 * time.Millisecond
+	hedgeMax      = time.Second
+	// maxBodyBytes caps a buffered request body (bearserve's default
+	// upload cap); maxRespBytes caps a buffered upstream response, graph
+	// exports included.
+	maxBodyBytes = 256 << 20
+	maxRespBytes = 256 << 20
+	// staleBudget bounds the last-good cache's bytes. The cache splits it
+	// evenly over its shards and never keeps an answer larger than one
+	// shard's share (512 KiB), such as the export of all but a tiny graph.
+	staleBudget = 8 << 20
+)
 
 // Cluster coordinates reads and writes across the shard set.
 type Cluster struct {
@@ -131,7 +119,7 @@ type Cluster struct {
 	shards     []*shard
 	byID       map[string]*shard
 	httpClient *http.Client
-	stale      *staleCache
+	stale      *resultcache.Cache // last-good answers; nil when StaleTTL < 0
 	m          *frontMetrics
 }
 
@@ -160,7 +148,9 @@ func New(cfg Config) (*Cluster, error) {
 	// No overall client timeout: per-attempt contexts carry the deadline,
 	// and one Client keeps connection pools shared across attempts.
 	c.httpClient = &http.Client{Transport: cfg.Transport}
-	c.stale = newStaleCache(cfg.StaleMaxEntries)
+	if cfg.StaleTTL > 0 {
+		c.stale = resultcache.New(staleBudget, cfg.StaleTTL)
+	}
 	c.m = newFrontMetrics(c)
 	return c, nil
 }
@@ -231,7 +221,7 @@ func (c *Cluster) attempt(ctx context.Context, sh *shard, method, uri string, co
 		return nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxRespBytes))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes))
 	if err != nil {
 		c.reportAttempt(sh, false, "reading response: "+err.Error())
 		return nil, err
@@ -265,16 +255,10 @@ func (c *Cluster) hedgeDelay() time.Duration {
 	}
 	const minSamples = 20
 	if c.m.readLatency.Count() < minSamples {
-		return c.cfg.HedgeMax
+		return hedgeMax
 	}
-	d := time.Duration(c.m.readLatency.Quantile(c.cfg.HedgeQuantile) * float64(time.Second))
-	if d < c.cfg.HedgeMin {
-		d = c.cfg.HedgeMin
-	}
-	if d > c.cfg.HedgeMax {
-		d = c.cfg.HedgeMax
-	}
-	return d
+	d := time.Duration(c.m.readLatency.Quantile(hedgeQuantile) * float64(time.Second))
+	return min(max(d, hedgeMin), hedgeMax)
 }
 
 // readResult is what one read attempt resolved to, for the failover loop.

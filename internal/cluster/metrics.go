@@ -108,7 +108,7 @@ func newFrontMetrics(c *Cluster) *frontMetrics {
 	reg.GaugeFunc("bear_front_shards", "Configured shards.",
 		func() float64 { return float64(len(c.shards)) })
 	reg.GaugeFunc("bear_front_stale_entries", "Entries in the last-good degradation cache.",
-		func() float64 { return float64(c.stale.Len()) })
+		func() float64 { return float64(c.stale.Stats().Entries) })
 	return m
 }
 

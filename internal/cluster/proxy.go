@@ -6,8 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
+
+	"bear/internal/resultcache"
 )
 
 // The front's HTTP surface: the shard /v1 API proxied unchanged (so
@@ -75,7 +78,7 @@ func (c *Cluster) handleRead(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method != http.MethodGet {
 		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
 				map[string]string{"error": "request body too large"})
@@ -100,25 +103,61 @@ func (c *Cluster) handleRead(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Hedge", "win")
 	}
 	if up.status == http.StatusOK {
-		c.stale.put(key, up.status, up.header.Get("Content-Type"), up.body)
+		c.stale.Put(key, &lastGood{contentType: up.header.Get("Content-Type"), body: up.body, at: time.Now()})
 	}
 	w.WriteHeader(up.status)
 	_, _ = w.Write(up.body)
+}
+
+// lastGood is a read's last 200 answer, kept to serve under degradation
+// (within StaleTTL, flagged X-Degraded: stale) when every replica of its
+// graph is down: a slightly old ranking beats a dead feature for almost
+// every RWR workload. It is immutable once stored; body is the upstream
+// buffer itself, which nothing writes after the answer is forwarded.
+type lastGood struct {
+	contentType string
+	body        []byte
+	at          time.Time
+}
+
+// CacheBytes implements resultcache.Value.
+func (e *lastGood) CacheBytes() int64 { return int64(len(e.contentType) + cap(e.body)) }
+
+// staleKey digests one read request for the last-good cache: its method,
+// path, query values in sorted key order (parameter order must not split
+// entries) and body (the POST reads ppr, batch and candidates carry one).
+func staleKey(r *http.Request, body []byte) resultcache.Key {
+	h := resultcache.NewHasher().String(r.Method).String(r.URL.Path)
+	q := r.URL.Query()
+	keys := make([]string, 0, len(q))
+	for k := range q {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	h = h.Int(len(keys))
+	for _, k := range keys {
+		h = h.String(k).Int(len(q[k]))
+		for _, v := range q[k] {
+			h = h.String(v)
+		}
+	}
+	return resultcache.Key{Hash: h.String(string(body)).Sum()}
 }
 
 // degrade is the end of the line for a read: every replica failed. Serve
 // the last good response if it is fresh enough, else a machine-readable
 // 503 — never a 500, and never an answer silently missing its context:
 // both paths carry X-Degraded so callers can tell degraded from normal.
-func (c *Cluster) degrade(w http.ResponseWriter, graph, key string) {
-	if e, age, ok := c.stale.get(key, c.cfg.StaleTTL); ok {
+func (c *Cluster) degrade(w http.ResponseWriter, graph string, key resultcache.Key) {
+	if v, ok := c.stale.Get(key); ok {
+		e := v.(*lastGood)
 		c.m.degradedStale.Inc()
 		if e.contentType != "" {
 			w.Header().Set("Content-Type", e.contentType)
 		}
 		w.Header().Set("X-Degraded", "stale")
-		w.Header().Set("Age", strconv.Itoa(int(age/time.Second)))
-		w.WriteHeader(e.status)
+		w.Header().Set("Age", strconv.Itoa(int(time.Since(e.at)/time.Second)))
+		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(e.body)
 		return
 	}
@@ -200,7 +239,7 @@ func upstreamError(up *upstream) string {
 func (c *Cluster) handleMutation(w http.ResponseWriter, r *http.Request) {
 	graph := r.PathValue("name")
 	targets := c.mutationTargets(graph, r)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeJSON(w, http.StatusRequestEntityTooLarge,
 			map[string]string{"error": "request body too large"})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bear/internal/graph/gen"
 	"bear/server"
 )
 
@@ -559,5 +560,83 @@ func TestProxyCandidatesIsARead(t *testing.T) {
 	}
 	if rec.Body.String() != want {
 		t.Fatalf("stale body = %s, want %s", rec.Body.String(), want)
+	}
+}
+
+// TestFrontKeepsNoExport: the last-good cache is byte-bounded, so a graph
+// export read through the front (a whole dynamic-state blob, larger than
+// one cache shard's share) leaves no entry behind, while an ordinary
+// ranked read of the same graph does.
+func TestFrontKeepsNoExport(t *testing.T) {
+	c := newFront(t, Config{Shards: bootShards(t, 1), Replication: 1})
+	var edges strings.Builder
+	if err := gen.RMAT(gen.NewRMATPul(3000, 15000, 0.8, 3)).SaveEdgeList(&edges); err != nil {
+		t.Fatal(err)
+	}
+	if rec := doFront(c, http.MethodPut, "/v1/graphs/g", edges.String()); rec.Code != http.StatusCreated {
+		t.Fatalf("PUT: %d %s", rec.Code, rec.Body.String())
+	}
+	entries := func() string {
+		rec := doFront(c, http.MethodGet, "/metrics", "")
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if strings.HasPrefix(line, "bear_front_stale_entries ") {
+				return strings.TrimPrefix(line, "bear_front_stale_entries ")
+			}
+		}
+		t.Fatalf("bear_front_stale_entries missing from:\n%s", rec.Body.String())
+		return ""
+	}
+	for i := 0; i < 2; i++ {
+		rec := doFront(c, http.MethodGet, "/v1/graphs/g/export", "")
+		if rec.Code != http.StatusOK || rec.Body.Len() <= staleBudget/16 {
+			t.Fatalf("export: %d, %d bytes; want 200 and more than one cache shard's share", rec.Code, rec.Body.Len())
+		}
+	}
+	if got := entries(); got != "0" {
+		t.Fatalf("after two exports the front keeps %s last-good entries, want 0", got)
+	}
+	if rec := doFront(c, http.MethodGet, "/v1/graphs/g/query?seed=3&top=5", ""); rec.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", rec.Code, rec.Body.String())
+	}
+	if got := entries(); got != "1" {
+		t.Fatalf("after one query the front keeps %s last-good entries, want 1", got)
+	}
+}
+
+// TestFrontStaleIgnoresQueryOrder: a read's last-good entry is keyed by
+// its query values in sorted key order, so the same read spelled with its
+// parameters reordered is answered from it when every replica is down,
+// and a read differing in one value is not.
+func TestFrontStaleIgnoresQueryOrder(t *testing.T) {
+	var down atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, `{"error":"dead"}`, http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"query":%q}`, r.URL.RawQuery)
+	}))
+	t.Cleanup(srv.Close)
+	c := newFront(t, Config{Shards: []ShardConfig{{ID: "solo", URL: srv.URL}}, Replication: 1})
+	warm := doFront(c, http.MethodGet, "/v1/graphs/g/query?seed=3&top=5&refine=1", "")
+	if warm.Code != http.StatusOK {
+		t.Fatalf("warm read: %d", warm.Code)
+	}
+	down.Store(true)
+	for _, target := range []string{
+		"/v1/graphs/g/query?top=5&refine=1&seed=3",
+		"/v1/graphs/g/query?refine=1&seed=3&top=5",
+	} {
+		rec := doFront(c, http.MethodGet, target, "")
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Degraded") != "stale" {
+			t.Fatalf("%s: %d X-Degraded=%q, want 200 stale", target, rec.Code, rec.Header().Get("X-Degraded"))
+		}
+		if rec.Body.String() != warm.Body.String() || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: stale answer %q (%s), want %q", target, rec.Body.String(), rec.Header().Get("Content-Type"), warm.Body.String())
+		}
+	}
+	if rec := doFront(c, http.MethodGet, "/v1/graphs/g/query?top=5&refine=1&seed=4", ""); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("a different seed: %d, want 503", rec.Code)
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
+	"bear/internal/footer"
 	"bear/internal/graph"
 	"bear/internal/ordering"
 )
@@ -58,7 +58,7 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 	// SlashBurn keep writing the older formats byte-identically.
 	v3 := ordering.Normalize(opts.Ordering) != namelessOrdering
 	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
+	cw := footer.NewWriter(bw)
 	e := &encoder{w: cw}
 	switch {
 	case v3:
@@ -98,10 +98,7 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 	if e.err != nil {
 		return fmt.Errorf("core: saving dynamic state: %w", e.err)
 	}
-	var foot [footerLen]byte
-	binary.LittleEndian.PutUint64(foot[:8], uint64(cw.n))
-	binary.LittleEndian.PutUint32(foot[8:], cw.sum)
-	if _, err := bw.Write(foot[:]); err != nil {
+	if err := cw.WriteFooter(); err != nil {
 		return fmt.Errorf("core: saving dynamic state: %w", err)
 	}
 	return bw.Flush()
@@ -112,7 +109,7 @@ func (d *Dynamic) SaveState(w io.Writer) error {
 // or inconsistent contents — it returns nil and the error; it never
 // returns a partially populated Dynamic.
 func LoadDynamic(r io.Reader) (*Dynamic, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
+	cr := footer.NewReader(bufio.NewReader(r))
 	d := &decoder{r: cr}
 	var got [8]byte
 	d.bytes(got[:])
@@ -166,8 +163,8 @@ func LoadDynamic(r io.Reader) (*Dynamic, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("core: loading dynamic state: %w", d.err)
 	}
-	if err := cr.checkFooter(); err != nil {
-		return nil, err
+	if err := cr.Check("file"); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return RestoreDynamic(base, cur, p, dirty, opts)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -148,77 +149,106 @@ func TopK(scores []float64, k int) []int {
 	return topKFiltered(scores, k, nil)
 }
 
-// topKFiltered is the bounded min-heap behind TopK, TopKExcluding, and
-// TopKCandidates: indices for which skip returns true never enter the
-// heap, everything else ranks by descending score, ties by ascending id,
-// NaN ordered explicitly as the worst possible score.
+// topKFiltered is TopK over the ids for which skip (nil: none) returns
+// false, behind TopK, TopKExcluding and TopKCandidates.
 func topKFiltered(scores []float64, k int, skip func(int) bool) []int {
-	if k > len(scores) {
-		k = len(scores)
-	}
-	if k <= 0 {
-		return []int{}
-	}
-	// worse reports whether candidate a ranks strictly below b: lower
-	// score, or equal score and higher id. NaN compares false against
-	// everything, which would leave the heap order undefined, so it is
-	// ordered explicitly as the worst possible score.
-	worse := func(a, b int) bool {
-		sa, sb := scores[a], scores[b]
-		if math.IsNaN(sa) {
-			return !math.IsNaN(sb) || a > b
-		}
-		if math.IsNaN(sb) {
-			return false
-		}
-		return sa < sb || (sa == sb && a > b)
-	}
-	h := make([]int, 0, k)
-	push := func(i int) {
+	h := newTopKHeap(scores, k)
+	h.scan(skip)
+	ids, _ := h.ranked(false)
+	return ids
+}
+
+// topKHeap is the one bounded min-heap of node ids behind every top-k
+// answer, ranked by a score vector under TopK's order: descending score,
+// ties by ascending id, NaN below every real score. Its root is the
+// weakest retained id, so once it holds k ids the root's score is the
+// running k-th best score θ.
+type topKHeap struct {
+	scores []float64
+	h      []int
+	k      int
+}
+
+// newTopKHeap returns an empty heap keeping the best k ids of scores, k
+// clamped to [0, len(scores)].
+func newTopKHeap(scores []float64, k int) topKHeap {
+	k = max(0, min(k, len(scores)))
+	return topKHeap{scores: scores, h: make([]int, 0, k), k: k}
+}
+
+// worse reports whether id a ranks strictly below b: a lower score, or an
+// equal score and a higher id. NaN compares false against everything, so
+// it is ordered explicitly as the worst score. It must stay small enough
+// to inline into push's sift loops and ranked's sort.
+func (q *topKHeap) worse(a, b int) bool {
+	sa, sb := q.scores[a], q.scores[b]
+	return sa < sb || (sa == sb && a > b) || (sa != sa && (sb == sb || a > b))
+}
+
+// push offers id i: it is kept while the heap holds fewer than k ids, and
+// afterwards only if it outranks the root, which it replaces.
+func (q *topKHeap) push(i int) {
+	h := q.h
+	if len(h) < q.k {
 		h = append(h, i)
 		for c := len(h) - 1; c > 0; {
 			par := (c - 1) / 2
-			if !worse(h[c], h[par]) {
+			if !q.worse(h[c], h[par]) {
 				break
 			}
 			h[c], h[par] = h[par], h[c]
 			c = par
 		}
+		q.h = h
+		return
 	}
-	// replaceRoot swaps the weakest retained candidate for i and sifts
-	// down; the caller has checked that i outranks the root.
-	replaceRoot := func(i int) {
-		h[0] = i
-		for c := 0; ; {
-			l, r, m := 2*c+1, 2*c+2, c
-			if l < k && worse(h[l], h[m]) {
-				m = l
-			}
-			if r < k && worse(h[r], h[m]) {
-				m = r
-			}
-			if m == c {
-				break
-			}
-			h[c], h[m] = h[m], h[c]
-			c = m
+	if len(h) == 0 || q.worse(i, h[0]) {
+		return
+	}
+	h[0] = i
+	for c := 0; ; {
+		l, r, m := 2*c+1, 2*c+2, c
+		if l < len(h) && q.worse(h[l], h[m]) {
+			m = l
 		}
+		if r < len(h) && q.worse(h[r], h[m]) {
+			m = r
+		}
+		if m == c {
+			break
+		}
+		h[c], h[m] = h[m], h[c]
+		c = m
 	}
+}
+
+// theta returns the running k-th best score, or (0, false) while fewer
+// than k ids have been kept.
+func (q *topKHeap) theta() (float64, bool) {
+	if q.k == 0 || len(q.h) < q.k {
+		return 0, false
+	}
+	return q.scores[q.h[0]], true
+}
+
+// scan offers every id of the score vector in ascending order to an empty
+// heap, except the ids for which skip (nil: none) returns true.
+func (q *topKHeap) scan(skip func(int) bool) {
+	scores := q.scores
 	i := 0
-	for ; i < len(scores) && len(h) < k; i++ {
+	for ; i < len(scores) && len(q.h) < q.k; i++ {
 		if skip == nil || !skip(i) {
-			push(i)
+			q.push(i)
 		}
 	}
-	// Once the heap is full, a real root score θ settles most nodes with
-	// one comparison: the scan runs in ascending id order, so a node tying
+	// Once the heap is full, a real root score θ settles most ids with
+	// one comparison: the scan runs in ascending id order, so an id tying
 	// θ has a higher id than the root and ranks below it, and a NaN ranks
 	// below any real θ — both fail scores[i] > θ. Only a NaN root needs
-	// the general comparison. skip runs only for nodes that pass the
-	// threshold.
-	theta := math.NaN()
-	if len(h) == k {
-		theta = scores[h[0]]
+	// the general comparison. skip runs only for ids that pass θ.
+	theta, full := q.theta()
+	if !full {
+		return
 	}
 	for ; i < len(scores); i++ {
 		if !(scores[i] > theta) && !math.IsNaN(theta) {
@@ -227,12 +257,29 @@ func topKFiltered(scores []float64, k int, skip func(int) bool) []int {
 		if skip != nil && skip(i) {
 			continue
 		}
-		if worse(i, h[0]) {
-			continue
-		}
-		replaceRoot(i)
-		theta = scores[h[0]]
+		q.push(i)
+		theta = scores[q.h[0]]
 	}
-	sort.Slice(h, func(a, b int) bool { return worse(h[b], h[a]) })
-	return h
+}
+
+// ranked sorts the kept ids best first, in place, and returns them; with
+// withScores it also returns their scores in a new slice.
+func (q *topKHeap) ranked(withScores bool) ([]int, []float64) {
+	slices.SortFunc(q.h, func(a, b int) int {
+		if q.worse(b, a) {
+			return -1
+		}
+		if q.worse(a, b) {
+			return 1
+		}
+		return 0
+	})
+	if !withScores {
+		return q.h, nil
+	}
+	scores := make([]float64, len(q.h))
+	for i, v := range q.h {
+		scores[i] = q.scores[v]
+	}
+	return q.h, scores
 }

@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"bear/internal/footer"
 	"bear/internal/sparse"
 )
 
@@ -26,7 +26,7 @@ var magic2 = [8]byte{'B', 'E', 'A', 'R', 'P', 'C', '0', '2'}
 var magic3 = [8]byte{'B', 'E', 'A', 'R', 'P', 'C', '0', '3'}
 
 // footerLen is the size of the v2/v3 integrity footer.
-const footerLen = 12
+const footerLen = footer.Len
 
 // Save writes the precomputed matrices in a compact binary format
 // (CRC-protected; version 3 when a retained H must be carried, version 2
@@ -34,7 +34,7 @@ const footerLen = 12
 // across processes.
 func (p *Precomputed) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
+	cw := footer.NewWriter(bw)
 	e := &encoder{w: cw}
 	if p.H != nil {
 		e.bytes(magic3[:])
@@ -45,10 +45,7 @@ func (p *Precomputed) Save(w io.Writer) error {
 	if e.err != nil {
 		return fmt.Errorf("core: saving precomputed matrices: %w", e.err)
 	}
-	var foot [footerLen]byte
-	binary.LittleEndian.PutUint64(foot[:8], uint64(cw.n))
-	binary.LittleEndian.PutUint32(foot[8:], cw.sum)
-	if _, err := bw.Write(foot[:]); err != nil {
+	if err := cw.WriteFooter(); err != nil {
 		return fmt.Errorf("core: saving precomputed matrices: %w", err)
 	}
 	return bw.Flush()
@@ -120,7 +117,7 @@ func decodePayload(d *decoder, withH bool) (*Precomputed, error) {
 // Load reads matrices previously written by Save, verifying them against
 // their length/CRC32 footer.
 func Load(r io.Reader) (*Precomputed, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
+	cr := footer.NewReader(bufio.NewReader(r))
 	d := &decoder{r: cr}
 	var got [8]byte
 	d.bytes(got[:])
@@ -134,56 +131,10 @@ func Load(r io.Reader) (*Precomputed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cr.checkFooter(); err != nil {
-		return nil, err
+	if err := cr.Check("file"); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return p, nil
-}
-
-// crcWriter counts and checksums everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	n   int64
-	sum uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-// crcReader counts and checksums everything read through it.
-type crcReader struct {
-	r   io.Reader
-	n   int64
-	sum uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-// checkFooter reads the 12-byte integrity footer from the underlying
-// reader (not through the checksum) and verifies it against the bytes
-// consumed so far.
-func (c *crcReader) checkFooter() error {
-	wantN, wantSum := c.n, c.sum
-	var foot [footerLen]byte
-	if _, err := io.ReadFull(c.r, foot[:]); err != nil {
-		return fmt.Errorf("core: truncated file: missing integrity footer: %w", err)
-	}
-	if gotN := int64(binary.LittleEndian.Uint64(foot[:8])); gotN != wantN {
-		return fmt.Errorf("core: corrupt file: footer records %d payload bytes, read %d", gotN, wantN)
-	}
-	if gotSum := binary.LittleEndian.Uint32(foot[8:]); gotSum != wantSum {
-		return fmt.Errorf("core: corrupt file: CRC32 mismatch (stored %08x, computed %08x)", gotSum, wantSum)
-	}
-	return nil
 }
 
 func (p *Precomputed) validate() error {

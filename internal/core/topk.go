@@ -174,11 +174,9 @@ func (d *Dynamic) fullTopK(ctx context.Context, p *Precomputed, nodes []int, wei
 	if err := d.QueryDistToCtx(ctx, q, q); err != nil {
 		return nil, nil, err
 	}
-	top := TopK(q, k)
-	scores := make([]float64, len(top))
-	for i, v := range top {
-		scores[i] = q[v]
-	}
+	heap := newTopKHeap(q, k)
+	heap.scan(nil)
+	top, scores := heap.ranked(true)
 	return top, scores, nil
 }
 

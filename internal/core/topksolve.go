@@ -24,7 +24,6 @@ package core
 import (
 	"context"
 	"math"
-	"slices"
 	"sort"
 
 	"bear/internal/obsv"
@@ -72,67 +71,6 @@ func (p *Precomputed) topKColBounds() []float64 {
 		p.topkNu = nu
 	})
 	return p.topkNu
-}
-
-// topKIDHeap is a bounded min-heap of node ids ranked by a score vector
-// under TopK's comparator (descending score, ties by ascending id): the
-// root is the weakest retained candidate, so once the heap holds k ids
-// its root score is the running k-th best exact score θ, and at the end
-// of the solve the heap IS the top-k — no dense rescan needed. Exact
-// scores are finite factor products, never NaN, so the comparator skips
-// TopK's explicit NaN ordering.
-type topKIDHeap struct {
-	scores []float64
-	h      []int
-	k      int
-}
-
-// worse reports whether candidate a ranks strictly below b.
-func (q *topKIDHeap) worse(a, b int) bool {
-	sa, sb := q.scores[a], q.scores[b]
-	return sa < sb || (sa == sb && a > b)
-}
-
-func (q *topKIDHeap) push(i int) {
-	if len(q.h) < q.k {
-		q.h = append(q.h, i)
-		for c := len(q.h) - 1; c > 0; {
-			par := (c - 1) / 2
-			if !q.worse(q.h[c], q.h[par]) {
-				break
-			}
-			q.h[c], q.h[par] = q.h[par], q.h[c]
-			c = par
-		}
-		return
-	}
-	if q.worse(i, q.h[0]) {
-		return
-	}
-	q.h[0] = i
-	for c := 0; ; {
-		l, r, m := 2*c+1, 2*c+2, c
-		if l < q.k && q.worse(q.h[l], q.h[m]) {
-			m = l
-		}
-		if r < q.k && q.worse(q.h[r], q.h[m]) {
-			m = r
-		}
-		if m == c {
-			break
-		}
-		q.h[c], q.h[m] = q.h[m], q.h[c]
-		c = m
-	}
-}
-
-// theta returns the current k-th best score, or (0, false) while fewer
-// than k scores have been seen (no block may be pruned on score yet).
-func (q *topKIDHeap) theta() (float64, bool) {
-	if len(q.h) < q.k {
-		return 0, false
-	}
-	return q.scores[q.h[0]], true
 }
 
 // supportBlocks appends to blocks the diagonal blocks holding the spoke
@@ -210,7 +148,7 @@ func (p *Precomputed) solveTopKCtx(ctx context.Context, sup []supportEntry, bloc
 	// s2a/s2b), so ws.full is recycled as the score vector.
 	dst := ws.full
 	clear(dst)
-	heap := topKIDHeap{scores: dst, k: k}
+	heap := newTopKHeap(dst, k)
 	for i := 0; i < n2; i++ {
 		v := p.InvPerm[n1+i]
 		dst[v] = c * r2[i]
@@ -294,15 +232,10 @@ func (p *Precomputed) solveTopKCtx(ctx context.Context, sup []supportEntry, bloc
 		// scores tie across computed and skipped nodes — both hold exactly
 		// 0 in dst — and only a dense selection ranks that tie the way the
 		// full solve's TopK does.
-		nodes = TopK(dst, k)
-	} else {
-		nodes = append([]int(nil), heap.h...)
-		sort.Slice(nodes, func(a, b int) bool { return heap.worse(nodes[b], nodes[a]) })
+		heap.h = heap.h[:0]
+		heap.scan(nil)
 	}
-	scores = make([]float64, len(nodes))
-	for i, v := range nodes {
-		scores[i] = dst[v]
-	}
+	nodes, scores = heap.ranked(true)
 	return nodes, scores, solved, skipped, nil
 }
 
@@ -335,8 +268,7 @@ func (p *Precomputed) solveIsolatedTopKCtx(ctx context.Context, sup []supportEnt
 
 	// ws.full is dead once t exists, so it holds the candidates' scores by
 	// node id; no other entry of it is read.
-	k = min(k, p.N)
-	heap := topKIDHeap{scores: ws.full, h: make([]int, 0, k), k: k}
+	heap := newTopKHeap(ws.full, k)
 	for _, bi := range blocks {
 		for j := p.BlockOffsets[bi]; j < p.BlockOffsets[bi+1]; j++ {
 			v := p.InvPerm[j]
@@ -344,7 +276,7 @@ func (p *Precomputed) solveIsolatedTopKCtx(ctx context.Context, sup []supportEnt
 			heap.push(v)
 		}
 	}
-	for v, zeros := 0, 0; zeros < k && v < p.N; v++ {
+	for v, zeros := 0, 0; zeros < heap.k && v < p.N; v++ {
 		if p.inBlocks(blocks, p.Perm[v]) {
 			continue
 		}
@@ -352,19 +284,6 @@ func (p *Precomputed) solveIsolatedTopKCtx(ctx context.Context, sup []supportEnt
 		heap.push(v)
 		zeros++
 	}
-	nodes := heap.h
-	slices.SortFunc(nodes, func(a, b int) int {
-		switch {
-		case heap.worse(b, a):
-			return -1
-		case heap.worse(a, b):
-			return 1
-		}
-		return 0
-	})
-	scores := make([]float64, len(nodes))
-	for i, v := range nodes {
-		scores[i] = ws.full[v]
-	}
+	nodes, scores := heap.ranked(true)
 	return nodes, scores, nil
 }

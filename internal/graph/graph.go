@@ -55,13 +55,6 @@ func (b *Builder) AddUndirected(u, v int, w float64) {
 	}
 }
 
-// Grow raises the node count to at least n.
-func (b *Builder) Grow(n int) {
-	if n > b.n {
-		b.n = n
-	}
-}
-
 // Build finalizes the accumulated edges into an immutable Graph.
 func (b *Builder) Build() *Graph {
 	m := sparse.NewCSR(b.n, b.n, b.edges)

@@ -6,7 +6,6 @@ import (
 	"bear/internal/dense"
 	"bear/internal/graph"
 	"bear/internal/sparse"
-	"bear/internal/svd"
 )
 
 // BLin is the B_LIN baseline of Tong et al. (KAIS 2008): partition the
@@ -18,8 +17,8 @@ import (
 //	r ≈ c ( M⁻¹ q + (1−c) M⁻¹ U Λ V M⁻¹ q ),  Λ = (I − (1−c) V M⁻¹ U)⁻¹.
 //
 // The decomposition is the partition-mean heuristic the paper's experiments
-// use (not SVD): columns of A₂ are grouped t ways and each group is
-// replaced by its mean column.
+// use: columns of A₂ are grouped t ways and each group is replaced by its
+// mean column.
 type BLin struct{}
 
 // Name implements Method naming for the harness.
@@ -83,21 +82,9 @@ func preprocessLin(g *graph.Graph, opts Options, partitioned bool) (Solver, erro
 	if t > n {
 		t = n
 	}
-	var u, v *sparse.CSR
-	if opts.UseSVD {
-		var err error
-		u, v, t, err = svdDecomposition(a2, t)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		u, v = meanColumnDecomposition(g, a2, t)
-	}
+	u, v := meanColumnDecomposition(g, a2, t)
 	if opts.DropTol > 0 {
 		u = u.Drop(opts.DropTol)
-		if opts.UseSVD {
-			v = v.Drop(opts.DropTol)
-		}
 	}
 	s.u, s.v = u, v
 
@@ -290,31 +277,6 @@ func invertBlockDiag(a1 *sparse.CSR, part []int, c float64) (*sparse.CSR, error)
 		}
 	}
 	return sparse.NewCSR(n, n, coords), nil
-}
-
-// svdDecomposition computes A₂ ≈ U' V' with U' = U diag(σ) and V' = Vᵀ
-// from a truncated SVD, folding the singular values into U so the solver's
-// Σ = I convention holds. It returns the possibly reduced rank.
-func svdDecomposition(a2 *sparse.CSR, t int) (u, v *sparse.CSR, rank int, err error) {
-	res, err := svd.Truncated(a2, t, 0, 1)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("rwr: truncated SVD: %w", err)
-	}
-	rank = res.Rank()
-	if rank == 0 {
-		// Degenerate (empty A₂): keep a rank-1 zero factorization so the
-		// solver's shapes stay valid.
-		n, m := a2.Dims()
-		return sparse.NewCSR(n, 1, nil), sparse.NewCSR(1, m, nil), 1, nil
-	}
-	us := res.U.Clone()
-	for i := 0; i < us.R; i++ {
-		for j := 0; j < rank; j++ {
-			us.Data[i*rank+j] *= res.S[j]
-		}
-	}
-	return sparse.FromDense(us.R, rank, us.Data),
-		sparse.FromDense(rank, res.V.R, res.V.Transpose().Data), rank, nil
 }
 
 // meanColumnDecomposition is the heuristic rank-t decomposition: columns of

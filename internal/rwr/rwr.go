@@ -36,11 +36,6 @@ type Options struct {
 	Partitions int
 	// Rank is the low-rank t for B_LIN/NB_LIN. Zero selects 100.
 	Rank int
-	// UseSVD switches B_LIN/NB_LIN from the partition-mean heuristic
-	// decomposition (the configuration the paper evaluates) to a truncated
-	// SVD by subspace iteration — slower to preprocess, usually more
-	// accurate per rank.
-	UseSVD bool
 	// MemBudget caps the bytes of precomputed data; methods whose output
 	// would exceed it fail with ErrOutOfMemory. Zero means unlimited.
 	MemBudget int64

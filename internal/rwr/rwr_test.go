@@ -391,57 +391,3 @@ func TestDegreeOrderingReducesFill(t *testing.T) {
 			ordered.NNZ(), natural.NNZ())
 	}
 }
-
-func TestNBLinSVDMoreAccurateThanHeuristic(t *testing.T) {
-	g := gen.CavemanHubs(gen.CavemanHubsConfig{Communities: 12, Size: 20, PIntra: 0.3, Hubs: 5, HubDeg: 20, Seed: 115})
-	want := exactRef(t, g, 0.05, 8)
-	cosOf := func(useSVD bool) float64 {
-		s, err := NBLin{}.Preprocess(g, Options{Rank: 60, UseSVD: useSVD})
-		if err != nil {
-			t.Fatalf("preprocess (svd=%v): %v", useSVD, err)
-		}
-		return cosine(querySeed(t, s, g.N(), 8), want)
-	}
-	heuristic, svdCos := cosOf(false), cosOf(true)
-	if svdCos < heuristic-0.02 {
-		t.Fatalf("SVD cosine %g well below heuristic %g", svdCos, heuristic)
-	}
-	if svdCos < 0.9 {
-		t.Fatalf("SVD-based NB_LIN cosine %g too low", svdCos)
-	}
-}
-
-func TestBLinSVDWorks(t *testing.T) {
-	g := gen.RMAT(gen.NewRMATPul(200, 1200, 0.7, 116))
-	s, err := BLin{}.Preprocess(g, Options{Partitions: 10, Rank: 50, UseSVD: true})
-	if err != nil {
-		t.Fatalf("preprocess: %v", err)
-	}
-	want := exactRef(t, g, 0.05, 3)
-	got := querySeed(t, s, g.N(), 3)
-	if cos := cosine(got, want); cos < 0.85 {
-		t.Fatalf("B_LIN+SVD cosine %g too low", cos)
-	}
-}
-
-func TestLinSVDEmptyCrossEdges(t *testing.T) {
-	// A graph with no cross-partition edges leaves A2 empty; the SVD path
-	// must degrade gracefully to the exact block solve.
-	b := graph.NewBuilder(20)
-	for isle := 0; isle < 2; isle++ {
-		base := isle * 10
-		for i := 0; i < 9; i++ {
-			b.AddUndirected(base+i, base+i+1, 1)
-		}
-	}
-	g := b.Build()
-	s, err := BLin{}.Preprocess(g, Options{Partitions: 2, Rank: 5, UseSVD: true})
-	if err != nil {
-		t.Fatalf("preprocess: %v", err)
-	}
-	want := exactRef(t, g, 0.05, 4)
-	got := querySeed(t, s, g.N(), 4)
-	if d := maxAbsDiff(got, want); d > 1e-9 {
-		t.Fatalf("empty-A2 SVD path diff %g", d)
-	}
-}

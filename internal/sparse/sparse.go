@@ -129,12 +129,6 @@ func (m *CSC) Bytes() int64 {
 	return int64(len(m.Val))*16 + int64(len(m.ColPtr))*8
 }
 
-// Dims returns the matrix shape.
-func (m *CSR) Dims() (r, c int) { return m.R, m.C }
-
-// Dims returns the matrix shape.
-func (m *CSC) Dims() (r, c int) { return m.R, m.C }
-
 // At returns the entry at (i, j) using binary search within row i.
 func (m *CSR) At(i, j int) float64 {
 	m.checkIndex(i, j)

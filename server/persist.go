@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,42 +18,16 @@ import (
 	"time"
 
 	"bear"
+	"bear/internal/footer"
 )
 
 // snapMagic identifies a server registry snapshot.
 var snapMagic = [8]byte{'B', 'E', 'A', 'R', 'S', 'V', '0', '1'}
 
 const (
-	snapFooterLen = 12      // 8-byte payload length + 4-byte CRC32 (IEEE)
 	maxSnapGraphs = 1 << 20 // sanity bounds against corrupt headers
 	maxSnapBlob   = 1 << 38
 )
-
-type crcCountWriter struct {
-	w   io.Writer
-	n   int64
-	sum uint32
-}
-
-func (c *crcCountWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-type crcCountReader struct {
-	r   io.Reader
-	n   int64
-	sum uint32
-}
-
-func (c *crcCountReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-	c.n += int64(n)
-	return n, err
-}
 
 // WriteSnapshot serializes every registered graph to w. Each graph's
 // dynamic state carries its own integrity footer (see Dynamic.SaveState);
@@ -74,7 +47,7 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 	s.mu.RUnlock()
 
 	bw := bufio.NewWriter(w)
-	cw := &crcCountWriter{w: bw}
+	cw := footer.NewWriter(bw)
 	if _, err := cw.Write(snapMagic[:]); err != nil {
 		return fmt.Errorf("server: writing snapshot: %w", err)
 	}
@@ -103,10 +76,7 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 			return fmt.Errorf("server: writing snapshot: %w", err)
 		}
 	}
-	var foot [snapFooterLen]byte
-	binary.LittleEndian.PutUint64(foot[:8], uint64(cw.n))
-	binary.LittleEndian.PutUint32(foot[8:], cw.sum)
-	if _, err := bw.Write(foot[:]); err != nil {
+	if err := cw.WriteFooter(); err != nil {
 		return fmt.Errorf("server: writing snapshot: %w", err)
 	}
 	return bw.Flush()
@@ -120,7 +90,7 @@ func (s *Server) ReadSnapshot(r io.Reader) error {
 	// until the registry swap below lands (or the restore fails).
 	s.restoring.Store(true)
 	defer s.restoring.Store(false)
-	cr := &crcCountReader{r: bufio.NewReader(r)}
+	cr := footer.NewReader(bufio.NewReader(r))
 	var got [8]byte
 	if _, err := io.ReadFull(cr, got[:]); err != nil {
 		return fmt.Errorf("server: reading snapshot: %w", err)
@@ -182,16 +152,8 @@ func (s *Server) ReadSnapshot(r io.Reader) error {
 			gen: nextGen.Add(1),
 		}
 	}
-	var foot [snapFooterLen]byte
-	// The footer is outside the checksummed region — read it directly.
-	if _, err := io.ReadFull(cr.r, foot[:]); err != nil {
-		return fmt.Errorf("server: truncated snapshot: missing integrity footer: %w", err)
-	}
-	if n := binary.LittleEndian.Uint64(foot[:8]); n != uint64(cr.n) {
-		return fmt.Errorf("server: corrupt snapshot: footer records %d payload bytes, read %d", n, cr.n)
-	}
-	if sum := binary.LittleEndian.Uint32(foot[8:]); sum != cr.sum {
-		return fmt.Errorf("server: corrupt snapshot: CRC32 mismatch (stored %08x, computed %08x)", sum, cr.sum)
+	if err := cr.Check("snapshot"); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
 	s.mu.Lock()
 	replaced := s.graphs

@@ -447,6 +447,12 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request, name string, 
 			writeError(w, errBadRequest("seed %q weight %v must be a finite non-negative number", k, weight))
 			return
 		}
+		// Two spellings of one node ("3", "03", "+3") would otherwise
+		// keep whichever weight the map visits last.
+		if _, dup := dist[node]; dup {
+			writeError(w, errBadRequest("seed node %d listed twice", node))
+			return
+		}
 		dist[node] = weight
 	}
 	// The distribution's support, in node order with zero weights dropped:

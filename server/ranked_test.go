@@ -310,3 +310,24 @@ func TestDefaultCountClampedToSmallGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestPPRRejectsNodeNamedTwice: a /ppr body whose seeds map spells one
+// node two ways ("3", "03", "+3") describes no single distribution, so it
+// answers 400 instead of keeping whichever weight the map visits last,
+// and a zero weight does not excuse the repeat.
+func TestPPRRejectsNodeNamedTwice(t *testing.T) {
+	_, ts := newTestServer(t)
+	base := ts.URL + "/v1/graphs/g"
+	doJSON(t, "PUT", base, edgeListBody(), http.StatusCreated)
+	for _, body := range []string{
+		`{"seeds":{"3":1,"03":2}}`,
+		`{"seeds":{"3":1,"+3":1},"top":4}`,
+		`{"seeds":{"0":1,"3":0,"003":0}}`,
+	} {
+		out := doJSON(t, "POST", base+"/ppr", body, http.StatusBadRequest)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "listed twice") {
+			t.Fatalf("%s: error %q, want it to name the repeated node", body, msg)
+		}
+	}
+	doJSON(t, "POST", base+"/ppr", `{"seeds":{"3":1,"30":2}}`, http.StatusOK)
+}

@@ -57,7 +57,7 @@ func measureLayoutsNs(ks []kernel.Matrix, y, x []float64) []float64 {
 	for reps < 1<<22 {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			ks[0].SpMV(y, x)
+			ks[0].Mul(y, x, 1)
 		}
 		if time.Since(start) >= batchTarget {
 			break
@@ -72,7 +72,7 @@ func measureLayoutsNs(ks []kernel.Matrix, y, x []float64) []float64 {
 		for i, k := range ks {
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				k.SpMV(y, x)
+				k.Mul(y, x, 1)
 			}
 			if ns := float64(time.Since(start).Nanoseconds()) / float64(reps); ns < best[i] {
 				best[i] = ns

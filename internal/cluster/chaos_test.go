@@ -218,9 +218,11 @@ func TestClusterChaos(t *testing.T) {
 	// counter moved, and the hedging + degradation series exist for
 	// dashboards to find.
 	metrics := doFront(c, http.MethodGet, "/metrics", "").Body.String()
-	ejected := fmt.Sprintf("bear_front_ejections_total{shard=%q}", victim)
-	if !strings.Contains(metrics, ejected) {
-		t.Fatalf("metrics missing %s:\n%s", ejected, metrics)
+	// Every shard's counter is exported from the start, so the victim's
+	// must read above zero.
+	ejected := fmt.Sprintf("bear_front_ejections_total{shard=%q} ", victim)
+	if !strings.Contains(metrics, ejected) || strings.Contains(metrics, ejected+"0\n") {
+		t.Fatalf("victim's %s did not move:\n%s", ejected, metrics)
 	}
 	for _, series := range []string{
 		"bear_front_hedges_total",

@@ -213,7 +213,7 @@ func (c *Cluster) attempt(ctx context.Context, sh *shard, method, uri string, co
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	c.m.attempts.WithShard(sh.id).Inc()
+	sh.m.attempts.Inc()
 	start := time.Now()
 	resp, err := c.httpClient.Do(req)
 	if err != nil {
@@ -237,10 +237,10 @@ func (c *Cluster) attempt(ctx context.Context, sh *shard, method, uri string, co
 
 func (c *Cluster) reportAttempt(sh *shard, ok bool, errText string) {
 	if !ok {
-		c.m.attemptErrors.WithShard(sh.id).Inc()
+		sh.m.attemptErrors.Inc()
 	}
 	if sh.report(ok, errText, &c.cfg.Health) {
-		c.m.ejections.WithShard(sh.id).Inc()
+		sh.m.ejections.Inc()
 	}
 }
 
@@ -261,8 +261,10 @@ func (c *Cluster) hedgeDelay() time.Duration {
 	return min(max(d, hedgeMin), hedgeMax)
 }
 
-// readResult is what one read attempt resolved to, for the failover loop.
+// readResult is what one read attempt against sh resolved to, for the
+// failover loop.
 type readResult struct {
+	sh     *shard
 	up     *upstream
 	err    error
 	hedged bool
@@ -291,7 +293,7 @@ func (c *Cluster) read(ctx context.Context, graph, method, uri, contentType stri
 		launched++
 		go func() {
 			up, err := c.attempt(ctx, sh, method, uri, contentType, body, c.cfg.ReadTimeout)
-			resCh <- readResult{up: up, err: err, hedged: hedged}
+			resCh <- readResult{sh: sh, up: up, err: err, hedged: hedged}
 		}()
 		return true
 	}
@@ -338,11 +340,7 @@ func (c *Cluster) read(ctx context.Context, graph, method, uri, contentType stri
 				}
 			default:
 				sawFailure = true
-				if res.up != nil {
-					c.m.failovers.WithShard(res.up.shard.id).Inc()
-				} else {
-					c.m.failovers.WithShard(cands[0].id).Inc()
-				}
+				res.sh.m.failovers.Inc()
 				if launch(false) {
 					pending++
 				}

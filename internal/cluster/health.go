@@ -115,6 +115,8 @@ type shard struct {
 	probeFails int
 	ejectedAt  time.Time
 	lastErr    string
+
+	m shardCounters // set by newFrontMetrics
 }
 
 // snapshotState reads the shard's state without tearing.
@@ -263,10 +265,10 @@ func (c *Cluster) ProbeAll(ctx context.Context) {
 		}
 		ok, errText := c.probe(ctx, sh)
 		if sh.probeResult(ok, errText, &c.cfg.Health) {
-			c.m.ejections.WithShard(sh.id).Inc()
+			sh.m.ejections.Inc()
 		}
 		if !ok {
-			c.m.probeFailures.WithShard(sh.id).Inc()
+			sh.m.probeFailures.Inc()
 		}
 	}
 }

@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"net/http"
-	"strconv"
-	"time"
-
-	"bear/internal/obsv"
-)
+import "bear/internal/obsv"
 
 // The front's own observability: a dedicated obsv registry (scraped at the
 // front's GET /metrics, separate from each shard's) carrying the
@@ -17,13 +11,8 @@ import (
 // two in sync when adding series.
 
 type frontMetrics struct {
-	reg *obsv.Registry
-
-	ejections     shardCounter
-	probeFailures shardCounter
-	failovers     shardCounter
-	attempts      shardCounter
-	attemptErrors shardCounter
+	reg      *obsv.Registry
+	requests *obsv.RequestMetrics
 
 	hedges    *obsv.Counter
 	hedgeWins *obsv.Counter
@@ -38,31 +27,18 @@ type frontMetrics struct {
 	readLatency *obsv.Histogram
 }
 
-// shardCounter is a tiny counter-vec over the shard label; obsv metric
-// constructors are get-or-create, so WithShard is just a lookup.
-type shardCounter struct {
-	reg        *obsv.Registry
-	name, help string
-}
-
-func (v shardCounter) WithShard(id string) *obsv.Counter {
-	return v.reg.Counter(v.name, v.help, obsv.L("shard", id))
+// shardCounters are one shard's labeled counters, resolved once when the
+// front builds its shards, so counting an attempt renders no label string.
+type shardCounters struct {
+	ejections, probeFailures, failovers, attempts, attemptErrors *obsv.Counter
 }
 
 func newFrontMetrics(c *Cluster) *frontMetrics {
 	reg := obsv.NewRegistry()
 	m := &frontMetrics{reg: reg}
-	m.ejections = shardCounter{reg, "bear_front_ejections_total",
-		"Shards ejected by the health checker (rolling success rate or consecutive probe failures), by shard."}
-	m.probeFailures = shardCounter{reg, "bear_front_probe_failures_total",
-		"Failed active /readyz probes (unreachable or not ready), by shard."}
-	m.failovers = shardCounter{reg, "bear_front_failovers_total",
-		"Read attempts abandoned for the next replica after a shard failed or shed, by the shard that failed."}
-	m.attempts = shardCounter{reg, "bear_front_attempts_total",
-		"Proxied request attempts, by shard (includes hedges and failover retries)."}
-	m.attemptErrors = shardCounter{reg, "bear_front_attempt_errors_total",
-		"Proxied request attempts that failed (transport error or 5xx/429), by shard."}
-
+	m.requests = obsv.NewRequestMetrics(reg,
+		"bear_front_requests_total", "HTTP requests served by the front, by endpoint and status code.",
+		"bear_front_request_seconds", "Front HTTP request latency in seconds, by endpoint.")
 	m.hedges = reg.Counter("bear_front_hedges_total",
 		"Hedged reads fired: a second replica was asked after the hedge deadline passed without an answer.")
 	m.hedgeWins = reg.Counter("bear_front_hedge_wins_total",
@@ -84,9 +60,23 @@ func newFrontMetrics(c *Cluster) *frontMetrics {
 		"Successful read-attempt latency against shards, in seconds; feeds the adaptive hedge deadline.",
 		obsv.LatencyBuckets)
 
-	// Shard state gauges, read live at scrape time.
+	// Per-shard series: the counters resolved here once, the state gauges
+	// read live at scrape time.
 	for _, sh := range c.shards {
 		sh := sh
+		l := obsv.L("shard", sh.id)
+		sh.m = shardCounters{
+			ejections: reg.Counter("bear_front_ejections_total",
+				"Shards ejected by the health checker (rolling success rate or consecutive probe failures), by shard.", l),
+			probeFailures: reg.Counter("bear_front_probe_failures_total",
+				"Failed active /readyz probes (unreachable or not ready), by shard.", l),
+			failovers: reg.Counter("bear_front_failovers_total",
+				"Read attempts abandoned for the next replica after a shard failed or shed, by the shard that failed.", l),
+			attempts: reg.Counter("bear_front_attempts_total",
+				"Proxied request attempts, by shard (includes hedges and failover retries).", l),
+			attemptErrors: reg.Counter("bear_front_attempt_errors_total",
+				"Proxied request attempts that failed (transport error or 5xx/429), by shard.", l),
+		}
 		reg.GaugeFunc("bear_front_shard_healthy",
 			"1 when the shard is healthy, 0.5 when half-open, 0 when ejected.",
 			func() float64 {
@@ -99,31 +89,14 @@ func newFrontMetrics(c *Cluster) *frontMetrics {
 				default:
 					return 0
 				}
-			}, obsv.L("shard", sh.id))
+			}, l)
 		reg.GaugeFunc("bear_front_shard_success_rate",
 			"Rolling success rate of proxied requests to the shard (1 with no samples).",
-			func() float64 { _, rate, _ := sh.snapshotState(); return rate },
-			obsv.L("shard", sh.id))
+			func() float64 { _, rate, _ := sh.snapshotState(); return rate }, l)
 	}
 	reg.GaugeFunc("bear_front_shards", "Configured shards.",
 		func() float64 { return float64(len(c.shards)) })
 	reg.GaugeFunc("bear_front_stale_entries", "Entries in the last-good degradation cache.",
 		func() float64 { return float64(c.stale.Stats().Entries) })
 	return m
-}
-
-// endpoint-level HTTP metrics for the front itself, mirroring the shape
-// bearserve exports so one dashboard template fits both tiers.
-func (c *Cluster) observeRequest(endpoint string, status int, elapsed time.Duration) {
-	c.m.reg.Counter("bear_front_requests_total",
-		"HTTP requests served by the front, by endpoint and status code.",
-		obsv.L("endpoint", endpoint), obsv.L("code", strconv.Itoa(status))).Inc()
-	c.m.reg.Histogram("bear_front_request_seconds",
-		"Front HTTP request latency in seconds, by endpoint.",
-		obsv.LatencyBuckets, obsv.L("endpoint", endpoint)).Observe(elapsed.Seconds())
-}
-
-func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = c.m.reg.WritePrometheus(w)
 }

@@ -39,20 +39,22 @@ func (c *Cluster) Handler() http.Handler {
 		_, _ = io.WriteString(w, "ok\n")
 	})
 	mux.HandleFunc("GET /readyz", c.handleFrontReady)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
+	mux.Handle("GET /metrics", c.m.reg.Handler())
 
-	mux.HandleFunc("GET /v1/cluster/status", c.instrument("cluster_status", c.handleClusterStatus))
-	mux.HandleFunc("POST /v1/cluster/repair", c.instrument("cluster_repair", c.handleRepair))
+	instrument := c.m.requests.Instrument
 
-	mux.HandleFunc("GET /v1/graphs", c.instrument("list", c.handleScatterList))
-	mux.HandleFunc("POST /v1/snapshot", c.instrument("snapshot", c.handleSnapshotAll))
+	mux.HandleFunc("GET /v1/cluster/status", instrument("cluster_status", c.handleClusterStatus))
+	mux.HandleFunc("POST /v1/cluster/repair", instrument("cluster_repair", c.handleRepair))
 
-	mux.HandleFunc("PUT /v1/graphs/{name}", c.instrument("put", c.handleMutation))
-	mux.HandleFunc("DELETE /v1/graphs/{name}", c.instrument("delete", c.handleMutation))
-	mux.HandleFunc("GET /v1/graphs/{name}", c.instrument("graph_read", c.handleRead))
-	mux.HandleFunc("GET /v1/graphs/{name}/{op}", c.instrument("graph_read", c.handleRead))
-	mux.HandleFunc("PUT /v1/graphs/{name}/import", c.instrument("import", c.handleMutation))
-	mux.HandleFunc("POST /v1/graphs/{name}/{op}", c.instrument("graph_post", c.handlePostOp))
+	mux.HandleFunc("GET /v1/graphs", instrument("list", c.handleScatterList))
+	mux.HandleFunc("POST /v1/snapshot", instrument("snapshot", c.handleSnapshotAll))
+
+	mux.HandleFunc("PUT /v1/graphs/{name}", instrument("put", c.handleMutation))
+	mux.HandleFunc("DELETE /v1/graphs/{name}", instrument("delete", c.handleMutation))
+	mux.HandleFunc("GET /v1/graphs/{name}", instrument("graph_read", c.handleRead))
+	mux.HandleFunc("GET /v1/graphs/{name}/{op}", instrument("graph_read", c.handleRead))
+	mux.HandleFunc("PUT /v1/graphs/{name}/import", instrument("import", c.handleMutation))
+	mux.HandleFunc("POST /v1/graphs/{name}/{op}", instrument("graph_post", c.handlePostOp))
 
 	return mux
 }
@@ -637,24 +639,4 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with the front's endpoint metrics.
-func (c *Cluster) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sr, r)
-		c.observeRequest(endpoint, sr.status, time.Since(start))
-	}
 }

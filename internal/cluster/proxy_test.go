@@ -153,6 +153,37 @@ func TestProxyReadFailover(t *testing.T) {
 	}
 }
 
+// TestProxyReadFailoverUnreachable: with both replicas refusing
+// connections, each transport-error failover counts against the shard
+// whose attempt failed — one per shard, matching its attempts.
+func TestProxyReadFailoverUnreachable(t *testing.T) {
+	urls := make([]string, 2)
+	for i := range urls {
+		srv := httptest.NewServer(http.NotFoundHandler())
+		urls[i] = srv.URL
+		srv.Close() // nothing listens there any more
+	}
+	c := newFront(t, Config{Shards: []ShardConfig{
+		{ID: "a", URL: urls[0]}, {ID: "b", URL: urls[1]},
+	}, Replication: 2, StaleTTL: -1})
+
+	rec := doFront(c, http.MethodGet, "/v1/graphs/g/query?seed=0", "")
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("read over two unreachable replicas: %d %s, want 503", rec.Code, rec.Body.String())
+	}
+	metrics := doFront(c, http.MethodGet, "/metrics", "").Body.String()
+	for _, id := range []string{"a", "b"} {
+		for _, want := range []string{
+			fmt.Sprintf(`bear_front_attempts_total{shard=%q} 1`, id),
+			fmt.Sprintf(`bear_front_failovers_total{shard=%q} 1`, id),
+		} {
+			if !strings.Contains(metrics, want+"\n") {
+				t.Errorf("metrics missing %q:\n%s", want, metrics)
+			}
+		}
+	}
+}
+
 func TestProxyDegradedStaleThenUnavailable(t *testing.T) {
 	down := false
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -409,16 +409,16 @@ func checkSchurWindow(t *testing.T, p *Precomputed, what string, nb int, pos []i
 		y = py
 	}
 	w := make([]float64, n2*nb)
-	mul(p.kern.l2inv, w, y, nb)
+	p.kern.l2inv.Mul(w, y, nb)
 	want := make([]float64, n2*nb)
-	mul(p.kern.u2inv, want, w, nb)
+	p.kern.u2inv.Mul(want, w, nb)
 
 	lo, hi := nonzeroWindow(y, nb)
 	win := make([]float64, n2*nb)
-	mulColRange(p.kern.l2inv, win, y, nb, lo, hi)
+	p.kern.l2inv.MulCols(win, y, nb, lo, hi)
 	sameBits(t, fmt.Sprintf("%s: L₂⁻¹ over rows [%d,%d)", what, lo, hi), win, w)
 	lo, hi = nonzeroWindow(w, nb)
-	mulColRange(p.kern.u2inv, win, w, nb, lo, hi)
+	p.kern.u2inv.MulCols(win, w, nb, lo, hi)
 	sameBits(t, fmt.Sprintf("%s: U₂⁻¹ over rows [%d,%d)", what, lo, hi), win, want)
 
 	got := p.schur(ws, nb, h)

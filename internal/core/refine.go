@@ -98,8 +98,19 @@ func (p *Precomputed) Residual(x, q []float64) (float64, error) {
 	for node, v := range x {
 		ws.rz[p.Perm[node]] = v
 	}
-	p.kern.h.Residual(ws.rr, ws.rq, ws.rz)
+	p.residual(ws.rr, ws.rq, ws.rz)
 	return infNorm(ws.rr), nil
+}
+
+// residual computes r = q − H·x in internal order: H·x into r, then
+// r[i] = q[i] − r[i]. Each entry is q[i] − s for the row sum s every
+// layout accumulates in the same order, so r is reproducible bit for bit.
+// r must alias neither q nor x.
+func (p *Precomputed) residual(r, q, x []float64) {
+	p.kern.h.Mul(r, x, 1)
+	for i, v := range q {
+		r[i] = v - r[i]
+	}
 }
 
 // solveRefinedCtx computes x = H⁻¹ b (the unscaled block-elimination solve
@@ -157,7 +168,7 @@ func (p *Precomputed) solveRefinedCtx(ctx context.Context, dst, b []float64, tol
 		for node, v := range dst {
 			zp[p.Perm[node]] = v
 		}
-		p.kern.h.Residual(ws.rr, qp, zp)
+		p.residual(ws.rr, qp, zp)
 		res := infNorm(ws.rr)
 		sw.Stop()
 		stats.Residual = res

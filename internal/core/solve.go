@@ -44,33 +44,6 @@ import (
 // records its span into the trace carried by ctx (a no-op when tracing is
 // off).
 
-// mul computes y = M·x for nb node-contiguous right-hand sides.
-func mul(m kernel.Matrix, y, x []float64, nb int) {
-	if nb == 1 {
-		m.SpMV(y, x)
-	} else {
-		m.SpMM(y, x, nb)
-	}
-}
-
-// mulRange computes rows [lo, hi) of M·x for nb right-hand sides.
-func mulRange(m kernel.Matrix, y, x []float64, nb, lo, hi int) {
-	if nb == 1 {
-		m.SpMVRange(y, x, lo, hi)
-	} else {
-		m.SpMMRange(y, x, nb, lo, hi)
-	}
-}
-
-// mulColRange computes M[:, lo:hi]·x for nb right-hand sides.
-func mulColRange(m kernel.Matrix, y, x []float64, nb, lo, hi int) {
-	if nb == 1 {
-		m.SpMVColRange(y, x, lo, hi)
-	} else {
-		m.SpMMColRange(y, x, nb, lo, hi)
-	}
-}
-
 // blockKey maps an internal position to its forward-stage group: the
 // diagonal block of a spoke, or len(Blocks) for every hub.
 func (p *Precomputed) blockKey(pos int) int {
@@ -206,11 +179,11 @@ func (p *Precomputed) solveIsolated(ctx context.Context, dst []float64, lo, hi i
 func (p *Precomputed) forwardIsolated(ws *Workspace, lo, hi int) []float64 {
 	b, t1, t := ws.full[:p.N1], ws.s1a[:p.N1], ws.s1b[:p.N1]
 	if lo == 0 && hi == p.N1 {
-		mul(p.kern.l1inv, t1, b, 1)
-		mul(p.kern.u1inv, t, t1, 1)
+		p.kern.l1inv.Mul(t1, b, 1)
+		p.kern.u1inv.Mul(t, t1, 1)
 	} else {
-		mulRange(p.kern.l1inv, t1, b, 1, lo, hi)
-		mulRange(p.kern.u1inv, t, t1, 1, lo, hi)
+		p.kern.l1inv.MulRows(t1, b, 1, lo, hi)
+		p.kern.u1inv.MulRows(t, t1, 1, lo, hi)
 	}
 	return t
 }
@@ -290,9 +263,9 @@ func (p *Precomputed) forward(ws *Workspace, nb int, pos []int) []float64 {
 	b1, t1, t2 := ws.full[:n1*nb], ws.s1a[:n1*nb], ws.s1b[:n1*nb]
 	h := ws.s2a[:n2*nb]
 	if pos == nil {
-		mul(p.kern.l1inv, t1, b1, nb)
-		mul(p.kern.u1inv, t2, t1, nb)
-		mulColRange(p.kern.h21, h, t2, nb, 0, n1)
+		p.kern.l1inv.Mul(t1, b1, nb)
+		p.kern.u1inv.Mul(t2, t1, nb)
+		p.kern.h21.MulCols(h, t2, nb, 0, n1)
 		return h
 	}
 	for rs := 0; rs < nb; {
@@ -310,9 +283,9 @@ func (p *Precomputed) forward(ws *Workspace, nb int, pos []int) []float64 {
 			}
 		case g == nb:
 			lo, hi := p.BlockOffsets[bi], p.BlockOffsets[bi+1]
-			mulRange(p.kern.l1inv, t1, b1, nb, lo, hi)
-			mulRange(p.kern.u1inv, t2, t1, nb, lo, hi)
-			mulColRange(p.kern.h21, h, t2, nb, lo, hi)
+			p.kern.l1inv.MulRows(t1, b1, nb, lo, hi)
+			p.kern.u1inv.MulRows(t2, t1, nb, lo, hi)
+			p.kern.h21.MulCols(h, t2, nb, lo, hi)
 		default:
 			// Only the block rows are read by the restricted products, so
 			// only they are cleared.
@@ -322,9 +295,9 @@ func (p *Precomputed) forward(ws *Workspace, nb int, pos []int) []float64 {
 			for k := rs; k < re; k++ {
 				gb[pos[k]*g+k-rs] = b1[pos[k]*nb+k]
 			}
-			mulRange(p.kern.l1inv, gt, gb, g, lo, hi)
-			mulRange(p.kern.u1inv, gb, gt, g, lo, hi)
-			mulColRange(p.kern.h21, gh, gb, g, lo, hi)
+			p.kern.l1inv.MulRows(gt, gb, g, lo, hi)
+			p.kern.u1inv.MulRows(gb, gt, g, lo, hi)
+			p.kern.h21.MulCols(gh, gb, g, lo, hi)
 			for i := 0; i < n2; i++ {
 				copy(h[i*nb+rs:i*nb+re], gh[i*g:(i+1)*g])
 			}
@@ -362,7 +335,7 @@ func (p *Precomputed) schur(ws *Workspace, nb int, h []float64) []float64 {
 
 // mulNonzero computes y = M·x for nb right-hand sides. When x's nonzero
 // rows fit in a window of at most half its rows, only that column window
-// is read (mulColRange): the skipped terms multiply exact zeros, and every
+// is read (MulCols): the skipped terms multiply exact zeros, and every
 // row accumulates from +0, which adding ±0 leaves unchanged, so y is
 // bit-identical to the full product; no triangularity is assumed. A wider
 // window runs the full product: locating each row's window costs a few
@@ -371,10 +344,10 @@ func (p *Precomputed) schur(ws *Workspace, nb int, h []float64) []float64 {
 func mulNonzero(m kernel.Matrix, y, x []float64, nb int) {
 	lo, hi := nonzeroWindow(x, nb)
 	if 2*(hi-lo) > len(x)/nb {
-		mul(m, y, x, nb)
+		m.Mul(y, x, nb)
 		return
 	}
-	mulColRange(m, y, x, nb, lo, hi)
+	m.MulCols(y, x, nb, lo, hi)
 }
 
 // nonzeroWindow returns the rows [lo, hi) of x, nb values to a row,
@@ -395,7 +368,7 @@ func nonzeroWindow(x []float64, nb int) (lo, hi int) {
 func (p *Precomputed) backRHS(ws *Workspace, nb int, r2 []float64) []float64 {
 	z := ws.s1a[:p.N1*nb]
 	if p.N2 > 0 {
-		mul(p.kern.h12, z, r2, nb)
+		p.kern.h12.Mul(z, r2, nb)
 	} else {
 		clear(z)
 	}
@@ -411,8 +384,8 @@ func (p *Precomputed) backRHS(ws *Workspace, nb int, r2 []float64) []float64 {
 func (p *Precomputed) backSolve(ws *Workspace, nb int, r2 []float64) []float64 {
 	z := p.backRHS(ws, nb, r2)
 	t := ws.s1b[:p.N1*nb]
-	mul(p.kern.l1inv, t, z, nb)
-	mul(p.kern.u1inv, z, t, nb)
+	p.kern.l1inv.Mul(t, z, nb)
+	p.kern.u1inv.Mul(z, t, nb)
 	return z
 }
 

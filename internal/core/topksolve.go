@@ -162,8 +162,8 @@ func (p *Precomputed) solveTopKCtx(ctx context.Context, sup []supportEntry, bloc
 		// The factors are block diagonal: rows [lo,hi) read only columns
 		// [lo,hi), so x₁ᵢ may overwrite z's block range in place once its
 		// L-product is taken.
-		p.kern.l1inv.SpMVRange(ws.s1b, z, lo, hi)
-		p.kern.u1inv.SpMVRange(z, ws.s1b, lo, hi)
+		p.kern.l1inv.MulRows(ws.s1b, z, 1, lo, hi)
+		p.kern.u1inv.MulRows(z, ws.s1b, 1, lo, hi)
 		for j := lo; j < hi; j++ {
 			v := p.InvPerm[j]
 			dst[v] = c * z[j]

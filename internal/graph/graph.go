@@ -202,28 +202,3 @@ func (g *Graph) UndirectedNeighbors() [][]int {
 	}
 	return adj
 }
-
-// Stats summarizes structural properties used in experiment tables.
-type Stats struct {
-	N, M              int
-	MaxOutDeg, MaxDeg int
-	Dangling          int
-}
-
-// ComputeStats derives summary statistics for the graph.
-func (g *Graph) ComputeStats() Stats {
-	st := Stats{N: g.n, M: g.M()}
-	total := g.TotalDegrees()
-	for u := 0; u < g.n; u++ {
-		if d := g.OutDegree(u); d > st.MaxOutDeg {
-			st.MaxOutDeg = d
-		}
-		if total[u] > st.MaxDeg {
-			st.MaxDeg = total[u]
-		}
-		if g.OutDegree(u) == 0 {
-			st.Dangling++
-		}
-	}
-	return st
-}

@@ -254,18 +254,6 @@ func TestUndirectedNeighbors(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(0, 2, 1)
-	b.AddEdge(1, 0, 1)
-	g := b.Build()
-	st := g.ComputeStats()
-	if st.N != 4 || st.M != 3 || st.MaxOutDeg != 2 || st.Dangling != 2 {
-		t.Fatalf("stats %+v wrong", st)
-	}
-}
-
 // Property: the iterative RWR invariant — for any graph, H's columns sum to
 // at least c (mass conservation of the substochastic transition).
 func TestQuickHColumnSums(t *testing.T) {

@@ -28,10 +28,6 @@ type Policy struct {
 	// doubles it before jitter. Zero means 100ms.
 	BaseDelay time.Duration
 
-	// MaxDelay caps a single backoff sleep after doubling, before jitter
-	// (so the worst-case sleep is 1.5×MaxDelay). Zero means no cap.
-	MaxDelay time.Duration
-
 	// Budget caps the total wall clock spent across all attempts and
 	// backoff sleeps, measured from just before the first attempt. A
 	// retry whose backoff sleep would land past the budget is abandoned
@@ -69,14 +65,11 @@ func (p Policy) Backoff(attempt int, hint time.Duration) time.Duration {
 	if base <= 0 {
 		base = 100 * time.Millisecond
 	}
-	// Shift with an overflow guard: past 62 doublings the duration would
-	// wrap negative, and any real MaxDelay kicks in long before that.
+	// Shift with an overflow guard: doubling stops past 2⁴⁰ns (about 18
+	// minutes), long before 62 doublings would wrap the duration negative.
 	d := base
 	for i := 0; i < attempt && d < 1<<40*time.Nanosecond; i++ {
 		d <<= 1
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }

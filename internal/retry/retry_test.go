@@ -38,15 +38,6 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-func TestBackoffMaxDelayCap(t *testing.T) {
-	p := Policy{BaseDelay: time.Second, MaxDelay: 2 * time.Second}
-	for i := 0; i < 50; i++ {
-		if got := p.Backoff(10, 0); got >= 3*time.Second {
-			t.Fatalf("capped backoff %v, want < 3s (1.5×MaxDelay)", got)
-		}
-	}
-}
-
 func TestParseRetryAfterDeltaSeconds(t *testing.T) {
 	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
 	d, ok := ParseRetryAfter("120", now)

@@ -76,7 +76,7 @@ func BenchmarkKernelSpMV(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", mname, lc.name), func(b *testing.B) {
 				b.ReportMetric(float64(m.NNZ()), "nnz")
 				for i := 0; i < b.N; i++ {
-					lc.k.SpMV(y, x)
+					lc.k.Mul(y, x, 1)
 				}
 			})
 		}
@@ -97,7 +97,7 @@ func BenchmarkKernelSpMM(b *testing.B) {
 	for _, lc := range benchLayouts(m) {
 		b.Run(lc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lc.k.SpMM(y, x, nb)
+				lc.k.Mul(y, x, nb)
 			}
 		})
 	}

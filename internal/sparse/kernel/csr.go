@@ -8,10 +8,10 @@ import (
 
 // CSR is the baseline layout: the product loops run straight over a
 // sparse.CSR's arrays, accumulating each row in ascending stored-column
-// order. The full SpMV is sparse.(*CSR).MulVecTo itself; the ranged,
-// column-windowed, multi-RHS and residual loops live here. SELL calls the
-// unexported loops directly, so a call on it counts only against its own
-// layout.
+// order. Each product branches on nb once, at its row loop: one
+// right-hand side runs a plain dot product per row, more run the
+// register-tiled mulRowTiled. SELL calls the unexported loops directly,
+// so a call on it counts only against its own layout.
 type CSR struct {
 	m *sparse.CSR
 }
@@ -21,92 +21,98 @@ func NewCSR(m *sparse.CSR) *CSR { return &CSR{m: m} }
 
 func (k *CSR) Layout() string { return layoutCSR }
 
-func (k *CSR) SpMV(y, x []float64) {
-	statSpMV(layoutCSR)
-	k.m.MulVecTo(y, x)
+func (k *CSR) Mul(y, x []float64, nb int) {
+	csrStats.count(nb)
+	k.mulRows("Mul", y, x, nb, 0, k.m.R)
 }
 
-func (k *CSR) SpMVRange(y, x []float64, lo, hi int) {
-	statSpMV(layoutCSR)
-	k.spmvRange(y, x, lo, hi)
+func (k *CSR) MulRows(y, x []float64, nb, lo, hi int) {
+	csrStats.count(nb)
+	k.mulRows("MulRows", y, x, nb, lo, hi)
 }
 
-func (k *CSR) SpMVColRange(y, x []float64, lo, hi int) {
-	statSpMV(layoutCSR)
-	k.spmvColRange(y, x, lo, hi)
+func (k *CSR) MulCols(y, x []float64, nb, lo, hi int) {
+	csrStats.count(nb)
+	k.mulCols("MulCols", y, x, nb, lo, hi)
 }
 
-func (k *CSR) SpMM(y, x []float64, nb int) {
-	statSpMM(layoutCSR)
-	k.spmmRange(y, x, nb, 0, k.m.R)
-}
-
-func (k *CSR) SpMMRange(y, x []float64, nb, lo, hi int) {
-	statSpMM(layoutCSR)
-	k.spmmRange(y, x, nb, lo, hi)
-}
-
-func (k *CSR) SpMMColRange(y, x []float64, nb, lo, hi int) {
-	statSpMM(layoutCSR)
-	k.spmmColRange(y, x, nb, lo, hi)
-}
-
-func (k *CSR) Residual(r, q, x []float64) {
-	statSpMV(layoutCSR)
-	k.residual(r, q, x)
-}
-
-// spmvRange computes rows [lo, hi) of y = A x, writing only y[lo:hi] and
-// leaving the rest of y untouched. It is the row-restricted loop the BEAR
-// single-seed fast path uses on block-diagonal factors: when x is
-// supported on one diagonal block, only that block's rows of the product
-// can be nonzero (Lemma 1 of the paper), so the remaining rows need not be
-// computed at all. For the rows it does compute, the accumulation order is
-// identical to MulVecTo, so the written entries are bit-identical.
-func (k *CSR) spmvRange(y, x []float64, lo, hi int) {
+// checkShape panics unless nb is positive and x and y hold nb right-hand
+// sides of M's columns and rows.
+func (k *CSR) checkShape(op string, y, x []float64, nb int) {
 	m := k.m
-	if len(x) != m.C || len(y) != m.R {
-		panic(fmt.Sprintf("kernel: SpMVRange shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d", m.R, m.C, len(x), len(y)))
+	if nb <= 0 {
+		panic(fmt.Sprintf("kernel: %s with %d right-hand sides", op, nb))
 	}
-	if lo < 0 || hi > m.R || lo > hi {
-		panic(fmt.Sprintf("kernel: SpMVRange rows [%d,%d) out of %d", lo, hi, m.R))
+	if len(x) != m.C*nb || len(y) != m.R*nb {
+		panic(fmt.Sprintf("kernel: %s shape mismatch: M is %dx%d, nb=%d, len(x)=%d, len(y)=%d",
+			op, m.R, m.C, nb, len(x), len(y)))
+	}
+}
+
+// checkWindow panics unless [lo, hi) is a window of n rows or columns.
+func checkWindow(op, what string, lo, hi, n int) {
+	if lo < 0 || hi > n || lo > hi {
+		panic(fmt.Sprintf("kernel: %s %s [%d,%d) out of %d", op, what, lo, hi, n))
+	}
+}
+
+// mulRows computes rows [lo, hi) of Y = M·X, writing only y[lo*nb:hi*nb].
+// The row window is what the BEAR solves use on block-diagonal factors:
+// when X is supported on one diagonal block, only that block's rows of
+// the product can be nonzero (Lemma 1 of the paper), so the remaining
+// rows need not be computed at all.
+func (k *CSR) mulRows(op string, y, x []float64, nb, lo, hi int) {
+	m := k.m
+	k.checkShape(op, y, x, nb)
+	checkWindow(op, "rows", lo, hi, m.R)
+	if nb == 1 {
+		// Bounding the loop by len(y) keeps y's bounds check, and a
+		// register, out of the row loop.
+		y := y[:hi]
+		for i := lo; i < len(y); i++ {
+			var s float64
+			ks, ke := m.RowPtr[i], m.RowPtr[i+1]
+			val := m.Val[ks:ke]
+			col := m.ColIdx[ks:ke:ke]
+			for j, v := range val {
+				s += v * x[col[j]]
+			}
+			y[i] = s
+		}
+		return
 	}
 	for i := lo; i < hi; i++ {
-		var s float64
-		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-		val := m.Val[ks:ke]
-		col := m.ColIdx[ks:ke:ke]
-		for j, v := range val {
-			s += v * x[col[j]]
-		}
-		y[i] = s
+		mulRowTiled(y[i*nb:(i+1)*nb:(i+1)*nb], x, m.Val, m.ColIdx, nb, m.RowPtr[i], m.RowPtr[i+1])
 	}
 }
 
-// spmvColRange computes y = A[:, lo:hi] · x[lo:hi]: every row of y is
-// written, but each row's accumulation visits only the stored entries whose
-// column index falls in [lo, hi), located by binary search within the
-// row's sorted column indices, and then runs spmvRange's slice loop over
-// them. When x is exactly zero outside [lo, hi) the result is bit-identical
-// to MulVecTo: the nonzero terms and their order match, and every row
-// accumulates from +0, which a skipped ±0 term leaves unchanged.
-func (k *CSR) spmvColRange(y, x []float64, lo, hi int) {
+// mulCols computes Y = M[:, lo:hi]·X[lo:hi]: every row of Y is written,
+// but each row's accumulation visits only the stored entries whose column
+// falls in [lo, hi) (colWindow), then runs mulRows's loops over them.
+// When X is exactly zero outside [lo, hi) the result is bit-identical to
+// the full product: the nonzero terms and their order match, and every
+// row accumulates from +0, which a skipped ±0 term leaves unchanged.
+func (k *CSR) mulCols(op string, y, x []float64, nb, lo, hi int) {
 	m := k.m
-	if len(x) != m.C || len(y) != m.R {
-		panic(fmt.Sprintf("kernel: SpMVColRange shape mismatch: A is %dx%d, len(x)=%d, len(y)=%d", m.R, m.C, len(x), len(y)))
-	}
-	if lo < 0 || hi > m.C || lo > hi {
-		panic(fmt.Sprintf("kernel: SpMVColRange cols [%d,%d) out of %d", lo, hi, m.C))
+	k.checkShape(op, y, x, nb)
+	checkWindow(op, "cols", lo, hi, m.C)
+	if nb == 1 {
+		y := y[:m.R]
+		for i := range y {
+			ps, pe := k.colWindow(i, lo, hi)
+			var s float64
+			val := m.Val[ps:pe]
+			col := m.ColIdx[ps:pe:pe]
+			for j, v := range val {
+				s += v * x[col[j]]
+			}
+			y[i] = s
+		}
+		return
 	}
 	for i := 0; i < m.R; i++ {
 		ps, pe := k.colWindow(i, lo, hi)
-		var s float64
-		val := m.Val[ps:pe]
-		col := m.ColIdx[ps:pe:pe]
-		for j, v := range val {
-			s += v * x[col[j]]
-		}
-		y[i] = s
+		mulRowTiled(y[i*nb:(i+1)*nb:(i+1)*nb], x, m.Val, m.ColIdx, nb, ps, pe)
 	}
 }
 
@@ -154,53 +160,17 @@ func searchCol(cols []int, a, b, c int) int {
 	return lo
 }
 
-// Multi-RHS (SpMM) loops: one traversal of the CSR structure applied to a
-// block of nb right-hand sides at once. The RHS block X is stored
-// node-contiguously — the nb values for matrix column j occupy
-// x[j*nb:(j+1)*nb]. Compared with nb single-vector products this reads
-// RowPtr/ColIdx/Val once per register tile instead of nb times, which is
-// the whole win: the factor matrices are far larger than the vectors, so
-// the per-seed path is bandwidth-bound on re-reading them.
-//
-// The inner loop is register-tiled: each row's output is computed eight,
-// four or two right-hand sides at a time with that many scalar
-// accumulators, so a stored entry costs one multiply-add per right-hand
-// side on registers and the output row is written exactly once. The naive layout-order alternative — sweep all nb
-// outputs per stored entry — issues nb cache stores per entry, which costs
-// as much as the nb separate traversals it was meant to save.
-//
-// For each right-hand side the accumulation order over a row's stored
-// entries is identical to MulVecTo, so every output column is bit-identical
-// to the corresponding single-vector product.
-
-// spmmRange computes rows [lo, hi) of Y = A X for nb right-hand sides,
-// writing only y[lo*nb:hi*nb] and leaving the rest of y untouched. x must
-// have length m.C*nb and y length m.R*nb. The blocked batch solver uses the
-// row window on block-diagonal factors, where only the seeds' diagonal
-// block can be nonzero (Lemma 1 of the paper).
-func (k *CSR) spmmRange(y, x []float64, nb, lo, hi int) {
-	m := k.m
-	if nb <= 0 {
-		panic(fmt.Sprintf("kernel: SpMM with %d right-hand sides", nb))
-	}
-	if len(x) != m.C*nb || len(y) != m.R*nb {
-		panic(fmt.Sprintf("kernel: SpMM shape mismatch: A is %dx%d, nb=%d, len(x)=%d, len(y)=%d",
-			m.R, m.C, nb, len(x), len(y)))
-	}
-	if lo < 0 || hi > m.R || lo > hi {
-		panic(fmt.Sprintf("kernel: SpMMRange rows [%d,%d) out of %d", lo, hi, m.R))
-	}
-	for i := lo; i < hi; i++ {
-		ks, ke := m.RowPtr[i], m.RowPtr[i+1]
-		mulRowTiled(y[i*nb:(i+1)*nb:(i+1)*nb], x, m.Val, m.ColIdx, nb, ks, ke)
-	}
-}
-
 // mulRowTiled computes one output row of a multi-RHS product: for each
 // right-hand side t, row[t] = Σ_p val[p]·x[colIdx[p]*nb+t] over stored
-// entries [ks, ke), accumulating eight, four or two right-hand sides per
-// entry pass in registers. Per column the entry order matches MulVecTo, so each output
-// is bit-identical to the single-vector product.
+// entries [ks, ke). One pass over the row's entries serves eight, four or
+// two right-hand sides at a time, with that many scalar accumulators, so
+// the matrix is read once per register tile instead of once per
+// right-hand side — the whole win of batching, since the factors are far
+// larger than the vectors — and the output row is written exactly once.
+// (Sweeping all nb outputs per stored entry instead issues nb cache
+// stores per entry, which costs as much as the nb traversals it saves.)
+// Per right-hand side the entry order matches the single-vector loop, so
+// each output is bit-identical to it.
 func mulRowTiled(row, x, val []float64, colIdx []int, nb, ks, ke int) {
 	// Ranging over the row's own entries, sliced once, keeps the bounds
 	// checks on val and colIdx out of the entry loops.
@@ -262,58 +232,5 @@ func mulRowTiled(row, x, val []float64, colIdx []int, nb, ks, ke int) {
 			acc += v * x[cols[i]*nb+t]
 		}
 		row[t] = acc
-	}
-}
-
-// spmmColRange computes Y = A[:, lo:hi] · X[lo:hi] for nb right-hand
-// sides: every row of Y is written, but each row's accumulation visits only
-// the stored entries whose column index falls in [lo, hi), located by
-// binary search within the row's sorted column indices. It is the
-// multi-RHS analogue of spmvColRange, with the same bit-identity
-// guarantee when X is exactly zero outside [lo, hi).
-func (k *CSR) spmmColRange(y, x []float64, nb, lo, hi int) {
-	m := k.m
-	if nb <= 0 {
-		panic(fmt.Sprintf("kernel: SpMMColRange with %d right-hand sides", nb))
-	}
-	if len(x) != m.C*nb || len(y) != m.R*nb {
-		panic(fmt.Sprintf("kernel: SpMMColRange shape mismatch: A is %dx%d, nb=%d, len(x)=%d, len(y)=%d",
-			m.R, m.C, nb, len(x), len(y)))
-	}
-	if lo < 0 || hi > m.C || lo > hi {
-		panic(fmt.Sprintf("kernel: SpMMColRange cols [%d,%d) out of %d", lo, hi, m.C))
-	}
-	for i := 0; i < m.R; i++ {
-		ps, pe := k.colWindow(i, lo, hi)
-		mulRowTiled(y[i*nb:(i+1)*nb:(i+1)*nb], x, m.Val, m.ColIdx, nb, ps, pe)
-	}
-}
-
-// residual computes r = q − H·x in one fused pass: each row's H·x dot
-// product is accumulated and immediately subtracted from q, so the product
-// is never materialized and the loop allocates nothing. r must have
-// length h.R and x length h.C; r may alias q (each r[i] is written after
-// row i's accumulation reads only x) but must not alias x.
-//
-// This is the residual of BEAR's iterative-refinement loop: with x an
-// approximate solve of H·x = q from the BEAR-Approx factors, r is the
-// defect the next Richardson sweep corrects. The per-row accumulation
-// order matches MulVecTo, so residual magnitudes are reproducible
-// bit-for-bit across the plain and fused paths.
-func (k *CSR) residual(r, q, x []float64) {
-	h := k.m
-	if len(x) != h.C || len(r) != h.R || len(q) != h.R {
-		panic(fmt.Sprintf("kernel: Residual shape mismatch: H is %dx%d, len(x)=%d, len(q)=%d, len(r)=%d",
-			h.R, h.C, len(x), len(q), len(r)))
-	}
-	for i := 0; i < h.R; i++ {
-		var s float64
-		ks, ke := h.RowPtr[i], h.RowPtr[i+1]
-		val := h.Val[ks:ke]
-		col := h.ColIdx[ks:ke:ke]
-		for j, v := range val {
-			s += v * x[col[j]]
-		}
-		r[i] = q[i] - s
 	}
 }

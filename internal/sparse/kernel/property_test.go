@@ -129,95 +129,55 @@ func fixtures(rng *rand.Rand) map[string]*sparse.CSR {
 }
 
 // TestKernelLayoutsMatchBaseline is the layout property test: random
-// matrices × every layout × {1, 3, GOMAXPROCS} workers, asserting every
-// primitive in the Matrix interface is bit-identical to refProduct, that
-// ranged products leave rows outside their window untouched, and that a
-// repeated call reproduces the first. The multi-RHS widths 1–9 and 17
-// cover every mix of the 8-, 4- and 2-wide register tiles and the scalar
-// tail. A column-windowed product over an x that is zero outside its
-// window must equal the full product bit for bit: the Schur stage's
-// windowed products rely on it. CI runs this under -race, which also
-// exercises the pool partitioning.
+// matrices × every layout × every product, asserting each is
+// bit-identical to refProduct, that a row-windowed product leaves rows
+// outside its window untouched, and that a repeated call reproduces the
+// first. The widths nb = 1–9 and 17 cover the single-vector loop and
+// every mix of the 8-, 4- and 2-wide register tiles and the scalar tail.
+// A column-windowed product over an x that is zero outside its window
+// must equal the full product bit for bit: the Schur stage's windowed
+// products rely on it.
 func TestKernelLayoutsMatchBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for mname, m := range fixtures(rng) {
-		x := randVec(rng, m.C)
-		q := randVec(rng, m.R)
 		rowWins := [][2]int{{0, m.R}, {m.R / 3, 2 * m.R / 3}, {m.R / 2, m.R / 2}}
 		colWins := [][2]int{{0, m.C}, {m.C / 4, 3 * m.C / 4}, {0, m.C / 2}, {m.C / 2, m.C}, {m.C / 3, m.C / 3}}
-
-		wantVec := refProduct(m, x, 1, 0, m.C)
-		wantRes := make([]float64, m.R)
-		for i := range wantRes {
-			wantRes[i] = q[i] - wantVec[i]
-		}
-
 		for _, lc := range layoutCases(t) {
 			k := lc.build(m)
-			tag := fmt.Sprintf("%s/%s", mname, lc.name)
-
-			y := make([]float64, m.R)
-			k.SpMV(y, x)
-			checkBits(t, tag+"/SpMV", y, wantVec)
-			y2 := make([]float64, m.R)
-			k.SpMV(y2, x)
-			checkBits(t, tag+"/SpMV-repeat", y2, y)
-
-			for _, w := range rowWins {
-				lo, hi := w[0], w[1]
-				got := filled(m.R)
-				k.SpMVRange(got, x, lo, hi)
-				want := filled(m.R)
-				copy(want[lo:hi], wantVec[lo:hi])
-				checkBits(t, fmt.Sprintf("%s/SpMVRange[%d:%d]", tag, lo, hi), got, want)
-			}
-			for _, w := range colWins {
-				lo, hi := w[0], w[1]
-				got := filled(m.R)
-				k.SpMVColRange(got, x, lo, hi)
-				checkBits(t, fmt.Sprintf("%s/SpMVColRange[%d:%d]", tag, lo, hi), got, refProduct(m, x, 1, lo, hi))
-
-				xw := windowed(x, 1, lo, hi)
-				full := make([]float64, m.R)
-				k.SpMV(full, xw)
-				k.SpMVColRange(got, xw, lo, hi)
-				checkBits(t, fmt.Sprintf("%s/SpMVColRange[%d:%d] vs SpMV of windowed x", tag, lo, hi), got, full)
-			}
-
 			for nb := 1; nb <= 17; nb++ {
 				if nb > 9 && nb < 17 {
 					continue
 				}
-				xm := randVec(rng, m.C*nb)
-				wantMM := refProduct(m, xm, nb, 0, m.C)
-				ym := filled(m.R * nb)
-				k.SpMM(ym, xm, nb)
-				checkBits(t, fmt.Sprintf("%s/SpMM(nb=%d)", tag, nb), ym, wantMM)
+				tag := fmt.Sprintf("%s/%s/nb=%d", mname, lc.name, nb)
+				x := randVec(rng, m.C*nb)
+				want := refProduct(m, x, nb, 0, m.C)
+				y := filled(m.R * nb)
+				k.Mul(y, x, nb)
+				checkBits(t, tag+"/Mul", y, want)
+				y2 := filled(m.R * nb)
+				k.Mul(y2, x, nb)
+				checkBits(t, tag+"/Mul-repeat", y2, y)
 				for _, w := range rowWins {
 					lo, hi := w[0], w[1]
 					got := filled(m.R * nb)
-					k.SpMMRange(got, xm, nb, lo, hi)
-					want := filled(m.R * nb)
-					copy(want[lo*nb:hi*nb], wantMM[lo*nb:hi*nb])
-					checkBits(t, fmt.Sprintf("%s/SpMMRange(nb=%d)[%d:%d]", tag, nb, lo, hi), got, want)
+					k.MulRows(got, x, nb, lo, hi)
+					wantRows := filled(m.R * nb)
+					copy(wantRows[lo*nb:hi*nb], want[lo*nb:hi*nb])
+					checkBits(t, fmt.Sprintf("%s/MulRows[%d:%d]", tag, lo, hi), got, wantRows)
 				}
 				for _, w := range colWins {
 					lo, hi := w[0], w[1]
 					got := filled(m.R * nb)
-					k.SpMMColRange(got, xm, nb, lo, hi)
-					checkBits(t, fmt.Sprintf("%s/SpMMColRange(nb=%d)[%d:%d]", tag, nb, lo, hi), got, refProduct(m, xm, nb, lo, hi))
+					k.MulCols(got, x, nb, lo, hi)
+					checkBits(t, fmt.Sprintf("%s/MulCols[%d:%d]", tag, lo, hi), got, refProduct(m, x, nb, lo, hi))
 
-					xw := windowed(xm, nb, lo, hi)
-					full := make([]float64, m.R*nb)
-					k.SpMM(full, xw, nb)
-					k.SpMMColRange(got, xw, nb, lo, hi)
-					checkBits(t, fmt.Sprintf("%s/SpMMColRange(nb=%d)[%d:%d] vs SpMM of windowed x", tag, nb, lo, hi), got, full)
+					xw := windowed(x, nb, lo, hi)
+					full := filled(m.R * nb)
+					k.Mul(full, xw, nb)
+					k.MulCols(got, xw, nb, lo, hi)
+					checkBits(t, fmt.Sprintf("%s/MulCols[%d:%d] vs Mul of windowed x", tag, lo, hi), got, full)
 				}
 			}
-
-			res := filled(m.R)
-			k.Residual(res, q, x)
-			checkBits(t, tag+"/Residual", res, wantRes)
 		}
 	}
 }
@@ -225,48 +185,14 @@ func TestKernelLayoutsMatchBaseline(t *testing.T) {
 // The argument contract of these products (shape, window and nb panics
 // on every layout) is pinned by the panic tests in package sparse.
 
-// TestResidualAliasesQ: Residual may write r over q in place, and the
-// result equals the non-aliased call on every layout.
-func TestResidualAliasesQ(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := randCSR(rng, 30, 30, 0.1)
-	x, q := randVec(rng, 30), randVec(rng, 30)
-	for _, lc := range layoutCases(t) {
-		k := lc.build(m)
-		want := make([]float64, 30)
-		k.Residual(want, q, x)
-		r := append([]float64(nil), q...)
-		k.Residual(r, r, x)
-		checkBits(t, lc.name+"/aliased Residual", r, want)
-	}
-}
-
-// TestResidualZeroAllocs: the refinement loop calls Residual once per
-// sweep, so it must not allocate on any layout.
-func TestResidualZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := randCSR(rng, 200, 200, 0.025)
-	x, q := randVec(rng, 200), randVec(rng, 200)
-	r := make([]float64, 200)
-	for _, lc := range layoutCases(t) {
-		k := lc.build(m)
-		if allocs := testing.AllocsPerRun(20, func() { k.Residual(r, q, x) }); allocs != 0 {
-			t.Fatalf("%s: Residual allocates %.1f times per call, want 0", lc.name, allocs)
-		}
-	}
-}
-
 // TestStatsCountOnePerCall: one call of any product on any layout raises
-// exactly one kernel.Stats counter, by one — its own layout's spmv or
-// spmm. SELL runs the csr loops without going through CSR's
-// counted methods, so bear_kernel_*_total reports calls, not the loops
-// behind them.
+// exactly one kernel.Stats counter, by one — its own layout's spmv for
+// nb = 1 or spmm for nb > 1. SELL runs the csr loops without going
+// through CSR's counted methods, so bear_kernel_*_total reports calls,
+// not the loops behind them.
 func TestStatsCountOnePerCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m := randCSR(rng, 64, 64, 0.1)
-	x, q, r := randVec(rng, 64), randVec(rng, 64), make([]float64, 64)
-	const nb = 2
-	xm, ym := randVec(rng, 64*nb), make([]float64, 64*nb)
 	snapshot := func() map[string][3]uint64 {
 		out := map[string][3]uint64{}
 		for _, l := range kernel.Layouts() {
@@ -277,31 +203,29 @@ func TestStatsCountOnePerCall(t *testing.T) {
 	}
 	for _, lc := range layoutCases(t) {
 		k := lc.build(m)
-		for _, call := range []struct {
-			name    string
-			counter int // 1 = spmv, 2 = spmm
-			fn      func()
-		}{
-			{"SpMV", 1, func() { k.SpMV(r, x) }},
-			{"SpMVRange", 1, func() { k.SpMVRange(r, x, 8, 40) }},
-			{"SpMVColRange", 1, func() { k.SpMVColRange(r, x, 8, 40) }},
-			{"Residual", 1, func() { k.Residual(r, q, x) }},
-			{"SpMM", 2, func() { k.SpMM(ym, xm, nb) }},
-			{"SpMMRange", 2, func() { k.SpMMRange(ym, xm, nb, 8, 40) }},
-			{"SpMMColRange", 2, func() { k.SpMMColRange(ym, xm, nb, 8, 40) }},
-		} {
-			before := snapshot()
-			call.fn()
-			after := snapshot()
-			for _, l := range kernel.Layouts() {
-				for c := 0; c < 3; c++ {
-					want := before[l][c]
-					if l == k.Layout() && c == call.counter {
-						want++
-					}
-					if after[l][c] != want {
-						t.Errorf("%s/%s: Stats(%q)[%d] went %d -> %d, want %d",
-							lc.name, call.name, l, c, before[l][c], after[l][c], want)
+		for nb, counter := range map[int]int{1: 1, 2: 2} { // counter 1 = spmv, 2 = spmm
+			x, y := randVec(rng, 64*nb), make([]float64, 64*nb)
+			for _, call := range []struct {
+				name string
+				fn   func()
+			}{
+				{"Mul", func() { k.Mul(y, x, nb) }},
+				{"MulRows", func() { k.MulRows(y, x, nb, 8, 40) }},
+				{"MulCols", func() { k.MulCols(y, x, nb, 8, 40) }},
+			} {
+				before := snapshot()
+				call.fn()
+				after := snapshot()
+				for _, l := range kernel.Layouts() {
+					for c := 0; c < 3; c++ {
+						want := before[l][c]
+						if l == k.Layout() && c == counter {
+							want++
+						}
+						if after[l][c] != want {
+							t.Errorf("%s/%s(nb=%d): Stats(%q)[%d] went %d -> %d, want %d",
+								lc.name, call.name, nb, l, c, before[l][c], after[l][c], want)
+						}
 					}
 				}
 			}

@@ -18,16 +18,12 @@ const (
 // CSR otherwise — and records the choice in the kernel selection counters.
 // Every layout gives bit-identical answers; only speed differs.
 func New(m *sparse.CSR) Matrix {
-	k := pick(m)
-	statSelected(k.Layout())
-	return k
-}
-
-func pick(m *sparse.CSR) Matrix {
 	if m.R >= autoMinRows && float64(m.NNZ()) <= autoSELLMaxMeanRow*float64(m.R) {
 		if s := NewSELL(m); s != nil {
+			sellStats.selected.Add(1)
 			return s
 		}
 	}
+	csrStats.selected.Add(1)
 	return NewCSR(m)
 }

@@ -17,9 +17,9 @@ const sellC = 8
 // ascending stored-column order — the csr order — so results are
 // bit-identical to the csr layout.
 //
-// Only the full SpMV is served natively; ranged, column-windowed,
-// multi-RHS and residual products run the csr loops over the source,
-// whose row-addressed form those access patterns need anyway.
+// Only the full single-vector product is served natively; windowed and
+// multi-RHS products run the csr loops over the source, whose
+// row-addressed form those access patterns need anyway.
 type SELL struct {
 	src      *CSR
 	rowOrder []int32   // rows slice-by-slice, longest first within a slice
@@ -85,16 +85,19 @@ func NewSELL(m *sparse.CSR) *SELL {
 
 func (k *SELL) Layout() string { return layoutSELL }
 
-func (k *SELL) SpMV(y, x []float64) {
-	statSpMV(layoutSELL)
+// Mul runs the native slice loop for one right-hand side and the csr
+// loop for more.
+func (k *SELL) Mul(y, x []float64, nb int) {
+	sellStats.count(nb)
+	if nb != 1 {
+		k.src.mulRows("Mul", y, x, nb, 0, k.src.m.R)
+		return
+	}
+	k.src.checkShape("Mul", y, x, 1)
 	cur := 0
 	for s := 0; s+1 < len(k.cntPtr); s++ {
 		lo := s * sellC
-		hi := lo + sellC
-		if hi > len(y) {
-			hi = len(y)
-		}
-		rows := k.rowOrder[lo:hi]
+		rows := k.rowOrder[lo:min(lo+sellC, len(y))]
 		var a [sellC]float64
 		for p := k.cntPtr[s]; p < k.cntPtr[s+1]; p++ {
 			if cnt := int(k.colCnt[p]); cnt == sellC {
@@ -121,32 +124,12 @@ func (k *SELL) SpMV(y, x []float64) {
 	}
 }
 
-func (k *SELL) SpMVRange(y, x []float64, lo, hi int) {
-	statSpMV(layoutSELL)
-	k.src.spmvRange(y, x, lo, hi)
+func (k *SELL) MulRows(y, x []float64, nb, lo, hi int) {
+	sellStats.count(nb)
+	k.src.mulRows("MulRows", y, x, nb, lo, hi)
 }
 
-func (k *SELL) SpMVColRange(y, x []float64, lo, hi int) {
-	statSpMV(layoutSELL)
-	k.src.spmvColRange(y, x, lo, hi)
-}
-
-func (k *SELL) SpMM(y, x []float64, nb int) {
-	statSpMM(layoutSELL)
-	k.src.spmmRange(y, x, nb, 0, k.src.m.R)
-}
-
-func (k *SELL) SpMMRange(y, x []float64, nb, lo, hi int) {
-	statSpMM(layoutSELL)
-	k.src.spmmRange(y, x, nb, lo, hi)
-}
-
-func (k *SELL) SpMMColRange(y, x []float64, nb, lo, hi int) {
-	statSpMM(layoutSELL)
-	k.src.spmmColRange(y, x, nb, lo, hi)
-}
-
-func (k *SELL) Residual(r, q, x []float64) {
-	statSpMV(layoutSELL)
-	k.src.residual(r, q, x)
+func (k *SELL) MulCols(y, x []float64, nb, lo, hi int) {
+	sellStats.count(nb)
+	k.src.mulCols("MulCols", y, x, nb, lo, hi)
 }

@@ -7,12 +7,11 @@ import (
 	"bear/internal/sparse/kernel"
 )
 
-// The ranged, column-windowed, multi-RHS and residual products over a
-// *sparse.CSR run in package kernel. The tests below lock in their
-// argument contract: mismatched shapes, row or column windows outside the
-// matrix or reversed, and non-positive RHS counts all panic on every
-// layout. The shape cases pass an x one entry too long, so only the
-// explicit check can catch them.
+// The products over a *sparse.CSR run in package kernel. The tests below
+// lock in their argument contract: mismatched shapes, row or column
+// windows outside the matrix or reversed, and non-positive RHS counts all
+// panic on every layout. Most shape cases pass an operand one entry too
+// long, so only the explicit check can catch them.
 
 // contractLayouts builds every layout over m.
 func contractLayouts(m *sparse.CSR) []kernel.Matrix {
@@ -34,44 +33,37 @@ func expectPanics(t *testing.T, k kernel.Matrix, cases map[string]func()) {
 	}
 }
 
-// TestMulMultiToPanics: the multi-RHS products reject nb ≤ 0, mismatched
-// shapes and out-of-range row or column windows.
+// TestMulMultiToPanics: the products over nb ≠ 1 right-hand sides reject
+// nb ≤ 0, mismatched shapes and out-of-range row or column windows.
 func TestMulMultiToPanics(t *testing.T) {
 	xm, ym := make([]float64, 6), make([]float64, 6)
 	for _, k := range contractLayouts(sparse.Identity(3)) {
 		expectPanics(t, k, map[string]func(){
-			"SpMM/nb-zero":             func() { k.SpMM(nil, nil, 0) },
-			"SpMM/shape":               func() { k.SpMM(ym, append(xm, 0), 2) },
-			"SpMMRange/rows-past-end":  func() { k.SpMMRange(ym, xm, 2, 1, 4) },
-			"SpMMRange/nb-zero":        func() { k.SpMMRange(nil, nil, 0, 0, 1) },
-			"SpMMColRange/cols-before": func() { k.SpMMColRange(ym, xm, 2, -1, 2) },
-			"SpMMColRange/nb-zero":     func() { k.SpMMColRange(nil, nil, 0, 0, 2) },
+			"Mul/nb-zero":           func() { k.Mul(nil, nil, 0) },
+			"Mul/shape":             func() { k.Mul(ym, append(xm, 0), 2) },
+			"MulRows/rows-past-end": func() { k.MulRows(ym, xm, 2, 1, 4) },
+			"MulRows/nb-zero":       func() { k.MulRows(nil, nil, 0, 0, 1) },
+			"MulCols/cols-before":   func() { k.MulCols(ym, xm, 2, -1, 2) },
+			"MulCols/nb-zero":       func() { k.MulCols(nil, nil, 0, 0, 2) },
 		})
 	}
 }
 
-// TestMulVecRangePanics: the ranged SpMVs reject row or column windows
-// outside the matrix or reversed, and mismatched shapes.
+// TestMulVecRangePanics: the single-vector products reject mismatched
+// shapes and row or column windows outside the matrix or reversed. The
+// full product checks its shape on every layout, SELL's native slice
+// loop included.
 func TestMulVecRangePanics(t *testing.T) {
 	x, y, long := make([]float64, 3), make([]float64, 3), make([]float64, 4)
 	for _, k := range contractLayouts(sparse.Identity(3)) {
 		expectPanics(t, k, map[string]func(){
-			"SpMVRange/rows-past-end":  func() { k.SpMVRange(y, x, 2, 4) },
-			"SpMVRange/rows-reversed":  func() { k.SpMVRange(y, x, 2, 1) },
-			"SpMVRange/shape":          func() { k.SpMVRange(y, long, 0, 3) },
-			"SpMVColRange/cols-before": func() { k.SpMVColRange(y, x, -1, 2) },
-			"SpMVColRange/shape":       func() { k.SpMVColRange(y, long, 0, 3) },
-		})
-	}
-}
-
-// TestResidualToShapePanics: r = q - Hx rejects an x whose length is not
-// H's column count.
-func TestResidualToShapePanics(t *testing.T) {
-	y, long := make([]float64, 3), make([]float64, 4)
-	for _, k := range contractLayouts(sparse.Identity(3)) {
-		expectPanics(t, k, map[string]func(){
-			"Residual/shape": func() { k.Residual(y, y, long) },
+			"Mul/shape-x":           func() { k.Mul(y, long, 1) },
+			"Mul/shape-y":           func() { k.Mul(long, x, 1) },
+			"MulRows/rows-past-end": func() { k.MulRows(y, x, 1, 2, 4) },
+			"MulRows/rows-reversed": func() { k.MulRows(y, x, 1, 2, 1) },
+			"MulRows/shape":         func() { k.MulRows(y, long, 1, 0, 3) },
+			"MulCols/cols-before":   func() { k.MulCols(y, x, 1, -1, 2) },
+			"MulCols/shape":         func() { k.MulCols(y, long, 1, 0, 3) },
 		})
 	}
 }

@@ -56,25 +56,6 @@ func (m *CSC) MulVecTo(y, x []float64) {
 	}
 }
 
-// MulVecT computes y = Aᵀ x for a CSR matrix without materializing the
-// transpose. x must have length m.R; the result has length m.C.
-func (m *CSR) MulVecT(x []float64) []float64 {
-	if len(x) != m.R {
-		panic(fmt.Sprintf("sparse: MulVecT shape mismatch: A is %dx%d, len(x)=%d", m.R, m.C, len(x)))
-	}
-	y := make([]float64, m.C)
-	for i := 0; i < m.R; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			y[m.ColIdx[k]] += m.Val[k] * xi
-		}
-	}
-	return y
-}
-
 // Scale multiplies every stored entry by a, in place, and returns m.
 func (m *CSR) Scale(a float64) *CSR {
 	for i := range m.Val {
@@ -156,17 +137,6 @@ func (m *CSC) Drop(tol float64) *CSC {
 
 // Prune removes exactly-zero stored entries.
 func (m *CSR) Prune() *CSR { return m.Drop(math.SmallestNonzeroFloat64) }
-
-// MaxAbs returns the largest absolute stored value, or 0 for an empty matrix.
-func (m *CSR) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.Val {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
 
 // Row returns the column indices and values of row i, aliasing internal
 // storage. Callers must not modify the returned slices.

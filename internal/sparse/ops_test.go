@@ -39,17 +39,6 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		r, c := 1+rng.Intn(15), 1+rng.Intn(15)
-		m := randomCSR(rng, r, c, 0.3)
-		x := randomVec(rng, r)
-		want := m.Transpose().MulVec(x)
-		densesEqual(t, m.MulVecT(x), want, 1e-12, "MulVecT")
-	}
-}
-
 func TestMulVecShapePanics(t *testing.T) {
 	m := Identity(3)
 	defer func() {
@@ -121,16 +110,6 @@ func TestPrune(t *testing.T) {
 	p := m.Prune()
 	if p.NNZ() != 1 || p.At(0, 0) != 1 {
 		t.Fatalf("Prune wrong: nnz=%d", p.NNZ())
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	m := NewCSR(2, 2, []Coord{{0, 0, -3}, {1, 1, 2}})
-	if m.MaxAbs() != 3 {
-		t.Fatalf("MaxAbs = %g, want 3", m.MaxAbs())
-	}
-	if Identity(0).MaxAbs() != 0 {
-		t.Fatal("empty MaxAbs should be 0")
 	}
 }
 

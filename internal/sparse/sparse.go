@@ -124,11 +124,6 @@ func (m *CSR) Bytes() int64 {
 	return int64(len(m.Val))*16 + int64(len(m.RowPtr))*8
 }
 
-// Bytes estimates the memory footprint of the stored matrix.
-func (m *CSC) Bytes() int64 {
-	return int64(len(m.Val))*16 + int64(len(m.ColPtr))*8
-}
-
 // At returns the entry at (i, j) using binary search within row i.
 func (m *CSR) At(i, j int) float64 {
 	m.checkIndex(i, j)
@@ -189,16 +184,6 @@ func (m *CSR) Transpose() *CSR {
 		}
 	}
 	return t
-}
-
-// Transpose returns a new CSC holding the transpose of m.
-func (m *CSC) Transpose() *CSC {
-	return m.ToCSR().reinterpretAsTransposedCSC()
-}
-
-// reinterpretAsTransposedCSC views the CSR buffers of m as the CSC of mᵀ.
-func (m *CSR) reinterpretAsTransposedCSC() *CSC {
-	return &CSC{R: m.C, C: m.R, ColPtr: m.RowPtr, RowIdx: m.ColIdx, Val: m.Val}
 }
 
 // Clone returns a deep copy.

@@ -44,12 +44,3 @@ func Mul(a, b *CSR) *CSR {
 	}
 	return out
 }
-
-// MulCSC computes C = A B for CSC operands, returning a CSC result. It is
-// Gustavson's algorithm applied column-wise.
-func MulCSC(a, b *CSC) *CSC {
-	at := &CSR{R: a.C, C: a.R, RowPtr: a.ColPtr, ColIdx: a.RowIdx, Val: a.Val} // CSR of aᵀ
-	bt := &CSR{R: b.C, C: b.R, RowPtr: b.ColPtr, ColIdx: b.RowIdx, Val: b.Val} // CSR of bᵀ
-	ct := Mul(bt, at)                                                          // (AB)ᵀ = Bᵀ Aᵀ
-	return &CSC{R: a.R, C: b.C, ColPtr: ct.RowPtr, RowIdx: ct.ColIdx, Val: ct.Val}
-}

@@ -51,18 +51,6 @@ func TestMulShapePanics(t *testing.T) {
 	Mul(Identity(3), Identity(4))
 }
 
-func TestMulCSC(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 20; trial++ {
-		p, q, r := 1+rng.Intn(10), 1+rng.Intn(10), 1+rng.Intn(10)
-		a := randomCSR(rng, p, q, 0.3)
-		b := randomCSR(rng, q, r, 0.3)
-		got := MulCSC(a.ToCSC(), b.ToCSC()).Dense()
-		want := Mul(a, b).Dense()
-		densesEqual(t, got, want, 1e-10, "MulCSC")
-	}
-}
-
 // Property: (AB)x == A(Bx).
 func TestQuickMulAssociatesWithVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

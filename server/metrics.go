@@ -4,8 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/url"
-	"strconv"
-	"sync"
 	"time"
 
 	"bear"
@@ -40,23 +38,8 @@ type serverMetrics struct {
 	refineSweeps   *obsv.Counter
 	refineResidual *obsv.Histogram
 
-	mu        sync.Mutex
-	endpoints map[string]*endpointMetrics
+	requests *obsv.RequestMetrics
 }
-
-// endpointMetrics is the per-endpoint slice of the HTTP metrics: one
-// latency histogram plus request counters keyed by status code.
-type endpointMetrics struct {
-	name    string
-	latency *obsv.Histogram
-	mu      sync.Mutex
-	codes   map[int]*obsv.Counter
-}
-
-const (
-	helpRequests = "HTTP requests served, by endpoint and status code."
-	helpLatency  = "HTTP request latency in seconds, by endpoint."
-)
 
 // metrics lazily builds the registry and the server-wide series; the
 // registry exists (and counts) whether or not the /metrics endpoint is
@@ -64,7 +47,10 @@ const (
 func (s *Server) metrics() *serverMetrics {
 	s.metricsOnce.Do(func() {
 		reg := obsv.NewRegistry()
-		m := &serverMetrics{reg: reg, endpoints: make(map[string]*endpointMetrics)}
+		m := &serverMetrics{reg: reg}
+		m.requests = obsv.NewRequestMetrics(reg,
+			"bear_http_requests_total", "HTTP requests served, by endpoint and status code.",
+			"bear_http_request_seconds", "HTTP request latency in seconds, by endpoint.")
 		m.inFlight = reg.Gauge("bear_http_in_flight",
 			"Requests currently inside a /v1 handler.")
 		m.shed = reg.Counter("bear_http_shed_total",
@@ -126,61 +112,15 @@ func (s *Server) metrics() *serverMetrics {
 	return s.srvMetrics
 }
 
-// endpoint returns (creating on first use) the per-endpoint metric slice.
-func (m *serverMetrics) endpoint(name string) *endpointMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	em, ok := m.endpoints[name]
-	if !ok {
-		em = &endpointMetrics{
-			name: name,
-			latency: m.reg.Histogram("bear_http_request_seconds", helpLatency,
-				obsv.LatencyBuckets, obsv.L("endpoint", name)),
-			codes: make(map[int]*obsv.Counter),
-		}
-		m.endpoints[name] = em
-	}
-	return em
-}
-
-// code returns the request counter for one (endpoint, status code) pair.
-func (em *endpointMetrics) code(reg *obsv.Registry, status int) *obsv.Counter {
-	em.mu.Lock()
-	defer em.mu.Unlock()
-	c, ok := em.codes[status]
-	if !ok {
-		c = reg.Counter("bear_http_requests_total", helpRequests,
-			obsv.L("endpoint", em.name), obsv.L("code", strconv.Itoa(status)))
-		em.codes[status] = c
-	}
-	return c
-}
-
-// statusRecorder captures the response status for the request counters.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusRecorder) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
-}
-
 // instrument wraps one endpoint handler with the request counter, latency
-// histogram, and in-flight gauge. The endpoint label is the route's
-// logical name, not the raw path, so label cardinality stays fixed.
+// histogram, and in-flight gauge.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	m := s.metrics()
-	em := m.endpoint(endpoint)
+	h = m.requests.Instrument(endpoint, h)
 	return func(w http.ResponseWriter, r *http.Request) {
 		m.inFlight.Add(1)
 		defer m.inFlight.Add(-1)
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sr, r)
-		em.latency.Observe(time.Since(start).Seconds())
-		em.code(m.reg, sr.status).Inc()
+		h(w, r)
 	}
 }
 
@@ -348,9 +288,4 @@ func (s *Server) logSlow(endpoint, graph, cacheStatus string, elapsed time.Durat
 	}
 	s.logf("slow query: endpoint=%s graph=%s %s cache=%s elapsed=%s trace: %s",
 		endpoint, graph, detail(), cacheStatus, elapsed.Round(time.Microsecond), tr)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics().reg.WritePrometheus(w)
 }

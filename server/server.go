@@ -206,7 +206,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	if s.EnableMetrics {
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
+		mux.Handle("GET /metrics", s.metrics().reg.Handler())
 	}
 	mux.Handle("/v1/", s.withAdmission(api))
 	return s.withRecovery(mux)
